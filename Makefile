@@ -13,7 +13,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # breaks inference or the episode loop fails the build.
 SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
-.PHONY: all build test race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
+.PHONY: all build test test-cpu race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
 all: build
 
@@ -24,6 +24,14 @@ build:
 ## test: run the full test suite
 test:
 	$(GO) test ./...
+
+## test-cpu: run the batched-executor and micro-batching-queue packages
+## at GOMAXPROCS 1 and 4, twice each, so a single-core machine cannot
+## hide a concurrency bug in the multi-lane walk or the dispatcher.
+## Narrow on purpose: the write-once registries are process globals, so
+## a whole-suite -count=2 pass fails on "already registered"
+test-cpu:
+	$(GO) test -count=2 -cpu 1,4 ./internal/plan/ ./internal/batch/
 
 ## race: run the full test suite under the race detector
 race:
@@ -116,7 +124,7 @@ staticcheck:
 	staticcheck ./...
 
 ## ci: everything the CI workflow gates on
-ci: fmt-check lint build race bench artifact-check infer-smoke crash-smoke fleet-smoke
+ci: fmt-check lint build test-cpu race bench artifact-check infer-smoke crash-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

@@ -112,6 +112,12 @@ const latencyRing = 1024
 // owns dispatch order, so a queue never runs its Inferer concurrently
 // with itself (concurrency across models comes from one queue per
 // model). Submit is safe for any number of concurrent callers.
+//
+// A served or failed request is counted (depth, then served with its
+// batch and latency, or errored) before its answer is released, so a
+// Stats() or /metrics read made after receiving an answer includes it.
+// A canceled request is counted when the dispatcher reaches it, which
+// may be after its submitter has already returned with ctx.Err().
 type Queue struct {
 	inf Inferer
 	cfg Config
@@ -337,7 +343,9 @@ func (q *Queue) drain(batch []*pending) {
 
 // dispatch executes one gathered batch: canceled requests are skipped
 // (their submitters already returned), live ones run through the
-// Inferer and receive their prediction.
+// Inferer and receive their prediction. Live requests are counted
+// before any of their answers is sent, so a submitter that reads Stats
+// after its answer sees itself counted.
 //
 //ehlint:hotpath
 func (q *Queue) dispatch(batch []*pending) {
@@ -363,19 +371,21 @@ func (q *Queue) dispatch(batch []*pending) {
 	if err != nil {
 		// Execution panicked: fail this batch's requests, keep the
 		// worker (and the daemon) alive for the next one.
+		q.noteFailed(len(live), ncanceled)
 		for _, p := range live {
 			p.done <- outcome{err: err}
 		}
-		q.noteFailed(len(live), ncanceled)
 		return
 	}
 	now := time.Now()
 	lats := q.latsBuf[:0]
-	for i, p := range live {
-		p.done <- outcome{pred: preds[i]}
+	for _, p := range live {
 		lats = append(lats, now.Sub(p.enqueued))
 	}
 	q.noteBatch(len(live), ncanceled, lats)
+	for i, p := range live {
+		p.done <- outcome{pred: preds[i]}
+	}
 }
 
 // runBatch executes one batch on the Inferer, converting a panic into
@@ -391,7 +401,9 @@ func (q *Queue) runBatch(reqs []Req) (preds []Prediction, err error) {
 	return q.inf.InferBatch(reqs), nil
 }
 
-// Stats is a queue's observability snapshot (GET /v1/stats).
+// Stats is a queue's observability snapshot (GET /v1/stats). A served
+// or failed request is already counted here by the time its submitter
+// receives the answer.
 type Stats struct {
 	// QueueDepth is the number of requests admitted but not yet
 	// answered (including any batch currently executing).

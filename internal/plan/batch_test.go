@@ -110,9 +110,27 @@ func assertStatesEqual(t *testing.T, got, want *State, ctx string) {
 	}
 }
 
-// TestScanExits checks the serving walk: logits surfaced at every exit
-// match direct single-image inference to that exit, for every image.
+// TestScanExits checks the serving walk: every image is visited once
+// per exit, in exit order, and the logits surfaced at each exit are
+// bit-identical to direct single-image inference to that exit — run
+// single-lane and banded across 4 workers, so the multi-lane walk is
+// exercised (and race-checked) on any core count. visit runs
+// concurrently across lanes and its logits are lane scratch, so the
+// callback only copies them into the image's own slot: an image belongs
+// to one band, so each slot has a single writer. The reference
+// inference and every comparison run on the test goroutine after
+// ScanExits returns.
 func TestScanExits(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			prev := tensor.SetWorkers(lanes)
+			defer tensor.SetWorkers(prev)
+			testScanExits(t, lanes)
+		})
+	}
+}
+
+func testScanExits(t *testing.T, lanes int) {
 	net := multiexit.LeNetEE(tensor.NewRNG(3))
 	geom, _ := InferGeometry(net)
 	p, err := Compile(net, geom)
@@ -124,22 +142,43 @@ func TestScanExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, ref := p.NewExec(), p.NewState()
+	if want := min(lanes, n); be.Lanes() != want {
+		t.Fatalf("%d lanes, want %d", be.Lanes(), want)
+	}
 	imgs := rawImages(n, 9)
 	tensors := testImages(n, 9)
+	exits := net.NumExits()
 
-	visited := make(map[[2]int]bool)
-	be.ScanExits(imgs, net.NumExits()-1, func(exit, img int, logits []float32) {
-		visited[[2]int{exit, img}] = true
-		ex.InferTo(ref, tensors[img], exit)
-		for i, v := range logits {
-			if v != ref.Logits()[i] {
-				t.Fatalf("exit %d img %d: logit[%d] = %x, want %x", exit, img, i, v, ref.Logits()[i])
+	// One visit: the exit it reported and a copy of its logits.
+	type exitLogits struct {
+		exit   int
+		logits []float32
+	}
+	got := make([][]exitLogits, n)
+	be.ScanExits(imgs, exits-1, func(exit, img int, logits []float32) {
+		got[img] = append(got[img], exitLogits{exit, append([]float32(nil), logits...)})
+	})
+
+	ex, ref := p.NewExec(), p.NewState()
+	for img, visits := range got {
+		if len(visits) != exits {
+			t.Fatalf("img %d: %d visits, want one per exit (%d)", img, len(visits), exits)
+		}
+		for e, v := range visits {
+			if v.exit != e {
+				t.Fatalf("img %d: visit %d reported exit %d, want exit order", img, e, v.exit)
+			}
+			ex.InferTo(ref, tensors[img], e)
+			want := ref.Logits()
+			if len(v.logits) != len(want) {
+				t.Fatalf("exit %d img %d: %d logits, want %d", e, img, len(v.logits), len(want))
+			}
+			for i, x := range v.logits {
+				if x != want[i] {
+					t.Fatalf("exit %d img %d: logit[%d] = %x, want %x", e, img, i, x, want[i])
+				}
 			}
 		}
-	})
-	if len(visited) != n*net.NumExits() {
-		t.Fatalf("visited %d (exit, img) pairs, want %d", len(visited), n*net.NumExits())
 	}
 }
 
