@@ -13,7 +13,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # breaks inference or the episode loop fails the build.
 SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
-.PHONY: all build test test-cpu race bench bench-smoke bench-json artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
+.PHONY: all build test test-cpu race bench bench-smoke bench-json fuzz-smoke artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
 all: build
 
@@ -53,6 +53,14 @@ bench-json:
 	$(GO) run ./cmd/benchjson < $(BENCH_JSON).bench.out > $(BENCH_JSON)
 	@rm -f $(BENCH_JSON).bench.out
 	@echo "wrote $(BENCH_JSON)"
+
+## fuzz-smoke: run each fuzz target for 20 s: the /v1/infer
+## single-pass decoder against encoding/json, the artifact decoder, and
+## the int8fast requantizer. go test -fuzz takes one target per run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=20s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=20s ./internal/artifact
+	$(GO) test -run='^$$' -fuzz='^FuzzRequantU8$$' -fuzztime=20s ./internal/plan
 
 ## artifact-check: decode the checked-in golden deployment artifact
 ## (wire-format gate: drift without a deliberate version bump fails) and
@@ -124,7 +132,7 @@ staticcheck:
 	staticcheck ./...
 
 ## ci: everything the CI workflow gates on
-ci: fmt-check lint build test-cpu race bench artifact-check infer-smoke crash-smoke fleet-smoke
+ci: fmt-check lint build test-cpu race fuzz-smoke bench artifact-check infer-smoke crash-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

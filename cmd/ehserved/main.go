@@ -96,6 +96,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -200,7 +201,6 @@ func main() {
 	}
 	sv := serve.New(opts...)
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           sv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -208,9 +208,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bind before announcing, and announce the bound address: with port 0
+	// the kernel picks the port, and a bind error fails before the line.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("ehserved: listening on %s (%d workers, seed %d)\n", *addr, session.Workers(), session.Seed())
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	fmt.Printf("ehserved: listening on %s (%d workers, seed %d)\n", ln.Addr(), session.Workers(), session.Seed())
 
 	select {
 	case <-ctx.Done():

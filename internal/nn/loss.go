@@ -52,12 +52,15 @@ func Entropy(probs []float32) float64 {
 }
 
 // NormalizedEntropy returns entropy scaled into [0, 1] by dividing by
-// log(classes), so thresholds are architecture-independent.
+// log(classes), so thresholds are architecture-independent. The result
+// is clamped to that range: float32 probabilities of a near-uniform row
+// each round up past 1/classes, which puts the raw ratio a few ulps
+// above 1.
 func NormalizedEntropy(probs []float32) float64 {
 	if len(probs) <= 1 {
 		return 0
 	}
-	return Entropy(probs) / math.Log(float64(len(probs)))
+	return min(max(Entropy(probs)/math.Log(float64(len(probs))), 0), 1)
 }
 
 // CrossEntropyLoss computes mean softmax cross-entropy over the batch and

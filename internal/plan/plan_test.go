@@ -121,6 +121,36 @@ func assertLogitsEqual(t *testing.T, got *State, want *multiexit.State, ctx stri
 	}
 }
 
+// TestConfidenceStaysInUnitRange feeds uniform and one-hot-like logits
+// to the plan's LogitsConfidence and to the layer walk's
+// State.Confidence. Both must stay in [0, 1] and agree bit for bit: a
+// uniform row of 3 or 10 classes rounds each probability up past
+// 1/classes, which once made the confidence slightly negative.
+func TestConfidenceStaysInUnitRange(t *testing.T) {
+	for _, classes := range []int{3, 4, 10} {
+		uniform := make([]float32, classes)
+		dominant := make([]float32, classes)
+		dominant[classes-1] = 40
+		for name, logits := range map[string][]float32{"uniform": uniform, "dominant": dominant} {
+			ctx := fmt.Sprintf("%s/%d", name, classes)
+			got := LogitsConfidence(logits, make([]float32, classes))
+			walk := &multiexit.State{Logits: tensor.FromSlice(append([]float32(nil), logits...), 1, classes)}
+			if want := walk.Confidence(); got != want {
+				t.Errorf("%s: plan confidence %v, layer walk %v", ctx, got, want)
+			}
+			if got < 0 || got > 1 {
+				t.Errorf("%s: confidence %v outside [0, 1]", ctx, got)
+			}
+			if name == "uniform" && got > 1e-6 {
+				t.Errorf("%s: confidence %v, want about 0", ctx, got)
+			}
+			if name == "dominant" && got < 0.99 {
+				t.Errorf("%s: confidence %v, want about 1", ctx, got)
+			}
+		}
+	}
+}
+
 // TestPlanFollowsWeightUpdates verifies that plans hold live views into
 // the network's parameters, not snapshots.
 func TestPlanFollowsWeightUpdates(t *testing.T) {

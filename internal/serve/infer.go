@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,7 +33,9 @@ type inferTarget struct {
 
 // inferRequest is the POST /v1/infer wire form. Exactly one of
 // Artifact/Deployment selects the model, and exactly one of
-// Input/Inputs carries the image(s).
+// Input/Inputs carries the image(s). fastInferRequest knows these fields
+// by their JSON names: a body carrying a field added here is decoded by
+// encoding/json until the fast path learns it too.
 type inferRequest struct {
 	// Artifact references an uploaded artifact by id (e.g. "a1");
 	// Deployment references a registered deployment by name.
@@ -69,11 +70,14 @@ type inferResponse struct {
 func (sv *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
-	var req inferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readInferBody(w, r)
+	if err != nil {
 		writeError(w, fmt.Errorf("%w: bad infer request: %v", ehinfer.ErrBadInput, err))
+		return
+	}
+	req, err := decodeInferRequest(body)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 

@@ -5,8 +5,6 @@
 # end to end in the shipped binary, not just under httptest.
 set -euo pipefail
 
-PORT="${INFER_SMOKE_PORT:-18157}"
-BASE="http://127.0.0.1:$PORT"
 TMP="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
@@ -19,8 +17,23 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$TMP/ehserved" ./cmd/ehserved
-"$TMP/ehserved" -addr "127.0.0.1:$PORT" >"$TMP/server.log" 2>&1 &
+# Port 0: the kernel picks a free port, and the daemon prints the
+# address it bound before it serves.
+"$TMP/ehserved" -addr 127.0.0.1:0 >"$TMP/server.log" 2>&1 &
 SERVER_PID=$!
+
+BASE=""
+for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^ehserved: listening on \([^ ]*\) .*/\1/p' "$TMP/server.log")"
+    if [ -n "$addr" ]; then BASE="http://$addr"; break; fi
+    kill -0 "$SERVER_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if [ -z "$BASE" ]; then
+    echo "infer-smoke: server never reported its address" >&2
+    cat "$TMP/server.log" >&2
+    exit 1
+fi
 
 ok=0
 for _ in $(seq 1 100); do
