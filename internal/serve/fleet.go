@@ -3,537 +3,140 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	ehinfer "repro"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
-// fleetJob is one submitted fleet run — the fleet twin of job. Workers
-// append aggregate snapshots under mu and broadcast on cond; streaming
-// handlers tail the results slice. With a data directory configured,
-// every emitted snapshot is journaled before it is acknowledged to
-// streamers, and a journal left behind by a crash resumes the run at the
-// next boot: the engine fast-forwards deterministically through the
-// journaled epochs and computes only the remainder, producing a final
-// document byte-identical to an uninterrupted run's.
-type fleetJob struct {
-	id     string
-	name   string
-	fleet  *fleet.Fleet
-	total  int
-	cancel context.CancelFunc
-	log    *slog.Logger
+// fleetKind is the fleet job kind: one item per aggregate epoch
+// snapshot. A resumed fleet fast-forwards deterministically through its
+// journaled epochs and computes only the remainder.
+func fleetKind() *jobKind {
+	return &jobKind{
+		name: "fleet", prefix: "f",
+		open: openFleet, restore: restoreFleet,
+		countResume: func(reg *obs.Registry, items int) {
+			reg.Counter(mFleetsResumed).Inc()
+			reg.Counter(mFleetSnapshotsRestored).Add(int64(items))
+		},
+	}
+}
 
-	// Crash-safety wiring; zero for an in-memory-only job. journal is
-	// touched only by the run goroutine after construction.
-	journal    *store.JobJournal
-	restored   []fleet.Snapshot // journal-order snapshots to pre-stream
-	startEpoch int              // first epoch the engine emits
-	aborted    atomic.Bool      // set by DELETE so retire aborts, not keeps
+// fleetEngine runs one resolved fleet on the session's fleet engine.
+type fleetEngine struct {
+	fleet      *fleet.Fleet
+	startEpoch int // first epoch the engine emits
 
 	// Per-fleet metric instruments, bound at registration.
 	cSnapshots *obs.Counter
 	cEvents    *obs.Counter
 	cBrownouts *obs.Counter
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	state     JobState
-	results   []fleet.Snapshot // epoch order
-	finalJSON []byte
-	errMsg    string
-	started   time.Time
-	elapsed   time.Duration
 }
 
-func newFleetJob(id string, f *fleet.Fleet, cancel context.CancelFunc) *fleetJob {
-	fj := &fleetJob{
-		id:      id,
-		fleet:   f,
-		cancel:  cancel,
-		log:     slog.New(slog.DiscardHandler),
-		state:   StateRunning,
-		started: time.Now(),
-	}
-	if f != nil {
-		fj.name = f.Name
-		fj.total = f.SnapshotCount()
-	}
-	fj.cond = sync.NewCond(&fj.mu)
-	return fj
-}
-
-// run drives the fleet to completion on the session, feeding the
-// streaming side as snapshots are emitted. It blocks until the run ends.
-func (fj *fleetJob) run(ctx context.Context, session *ehinfer.Session) {
-	if len(fj.restored) > 0 {
-		// Journaled snapshots stream first, in epoch order, so a follower
-		// attached across the restart sees the same sequence an
-		// uninterrupted run would have produced.
-		fj.mu.Lock()
-		fj.results = append(fj.results, fj.restored...)
-		fj.cond.Broadcast()
-		fj.mu.Unlock()
-	}
-	fr := session.ResumeFleet(ctx, fj.fleet, fj.startEpoch) // startEpoch 0 == plain start
-	for snap := range fr.Snapshots() {
-		// Durability before acknowledgment, as with grid points.
-		fj.checkpoint(snap)
-		fj.note(snap)
-		fj.mu.Lock()
-		fj.results = append(fj.results, snap)
-		fj.cond.Broadcast()
-		fj.mu.Unlock()
-	}
-	res, err := fr.Wait()
-
-	var finalJSON []byte
-	if err == nil && res != nil {
-		if data, jerr := res.JSON(); jerr == nil {
-			finalJSON = data
-		} else {
-			err = jerr
-		}
-	}
-
-	fj.mu.Lock()
-	fj.finalJSON = finalJSON
-	fj.elapsed = time.Since(fj.started)
-	switch {
-	case err == nil:
-		fj.state = StateDone
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		fj.state = StateCanceled
-		fj.errMsg = err.Error()
-	default:
-		fj.state = StateFailed
-		fj.errMsg = err.Error()
-	}
-	state := fj.state
-	fj.cond.Broadcast()
-	fj.mu.Unlock()
-
-	fj.retireJournal(state, finalJSON)
-}
-
-// checkpoint journals one emitted snapshot. Snapshots are only emitted
-// at completed epoch barriers, so every journaled line is a state the
-// determinism contract can fast-forward to. A failing journal degrades
-// the job to in-memory-only, exactly as with grid jobs.
-func (fj *fleetJob) checkpoint(snap fleet.Snapshot) {
-	if fj.journal == nil {
-		return
-	}
-	line, err := json.Marshal(snap)
-	if err == nil {
-		err = fj.journal.Append(line)
-	}
-	if err != nil {
-		fj.log.Error("fleet checkpoint failed; continuing without durability", "fleet", fj.id, "err", err)
-		_ = fj.journal.Close()
-		fj.journal = nil
-	}
-}
-
-// note feeds the per-fleet metric families from one emitted snapshot.
-func (fj *fleetJob) note(snap fleet.Snapshot) {
-	if fj.cSnapshots == nil {
-		return
-	}
-	fj.cSnapshots.Inc()
-	var events, missed int64
-	for _, ps := range snap.Populations {
-		events += ps.Events
-		missed += ps.Missed
-	}
-	fj.cEvents.Add(events)
-	fj.cBrownouts.Add(missed)
-}
-
-// retireJournal resolves the journal against the run's outcome, with
-// the same policy as grid jobs: Finalize on success, Abort on explicit
-// cancel or failure, plain Close on a shutdown mid-run so the next boot
-// resumes.
-func (fj *fleetJob) retireJournal(state JobState, finalJSON []byte) {
-	if fj.journal == nil {
-		return
-	}
-	var err error
-	switch {
-	case state == StateDone && finalJSON != nil:
-		err = fj.journal.Finalize(finalJSON)
-	case fj.aborted.Load() || state == StateFailed:
-		err = fj.journal.Abort()
-	default:
-		err = fj.journal.Close()
-	}
-	if err != nil {
-		fj.log.Error("retiring fleet journal failed", "fleet", fj.id, "state", string(state), "err", err)
-	}
-	fj.journal = nil
-}
-
-// snapshot returns the job's status under lock. Completed counts
-// emitted snapshots; Total is the full run's snapshot count.
-func (fj *fleetJob) snapshot() JobStatus {
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	st := JobStatus{
-		ID:        fj.id,
-		Name:      fj.name,
-		State:     fj.state,
-		Completed: len(fj.results),
-		Total:     fj.total,
-		Err:       fj.errMsg,
-	}
-	if fj.state == StateRunning {
-		st.ElapsedMS = time.Since(fj.started).Milliseconds()
-	} else {
-		st.ElapsedMS = fj.elapsed.Milliseconds()
-	}
-	return st
-}
-
-// next blocks until the job has more than n snapshots, the run leaves
-// StateRunning, or ctx is canceled; it returns the snapshots beyond n
-// and the current state.
-func (fj *fleetJob) next(ctx context.Context, n int) ([]fleet.Snapshot, JobState) {
-	stop := context.AfterFunc(ctx, func() {
-		fj.mu.Lock()
-		fj.cond.Broadcast()
-		fj.mu.Unlock()
-	})
-	defer stop()
-
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	for len(fj.results) <= n && fj.state == StateRunning && ctx.Err() == nil {
-		fj.cond.Wait()
-	}
-	batch := append([]fleet.Snapshot(nil), fj.results[n:]...)
-	return batch, fj.state
-}
-
-// finalBytes returns the finished run's deterministic JSON document, or
-// nil if the job has none yet.
-func (fj *fleetJob) finalBytes() []byte {
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	return fj.finalJSON
-}
-
-func (fj *fleetJob) finalState() JobState {
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	return fj.state
-}
-
-// bindFleetMetrics attaches the job's per-fleet instrument set, labeled
-// by job id (ids are stable across restarts, so a resumed fleet
-// continues its series).
-func (sv *Server) bindFleetMetrics(fj *fleetJob) {
-	fj.cSnapshots = sv.reg.Counter(obs.Metric(mFleetSnapshots, "fleet", fj.id))
-	fj.cEvents = sv.reg.Counter(obs.Metric(mFleetEvents, "fleet", fj.id))
-	fj.cBrownouts = sv.reg.Counter(obs.Metric(mFleetBrownouts, "fleet", fj.id))
-	sv.reg.Gauge(obs.Metric(mFleetDevices, "fleet", fj.id)).Set(float64(fj.fleet.Devices))
-}
-
-// registerFleet admits a new fleet job under the server lock, with the
-// same WaitGroup protocol as register.
-func (sv *Server) registerFleet(f *fleet.Fleet, cancel context.CancelFunc) (*fleetJob, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if sv.closed {
-		return nil, fmt.Errorf("serve: server is shutting down")
-	}
-	sv.nextFleetID++
-	fj := newFleetJob(fmt.Sprintf("f%d", sv.nextFleetID), f, cancel)
-	fj.log = sv.log
-	sv.bindFleetMetrics(fj)
-	sv.fleets[fj.id] = fj
-	sv.fleetOrder = append(sv.fleetOrder, fj.id)
-	sv.pruneFleetsLocked()
-	sv.wg.Add(1)
-	return fj, nil
-}
-
-// pruneFleetsLocked drops the oldest finished fleet jobs beyond
-// maxRetainedJobs (fleets have their own budget, so a burst of grids
-// cannot evict fleet results or vice versa). Caller holds sv.mu.
-func (sv *Server) pruneFleetsLocked() {
-	if len(sv.fleetOrder) <= maxRetainedJobs {
-		return
-	}
-	kept := sv.fleetOrder[:0]
-	excess := len(sv.fleetOrder) - maxRetainedJobs
-	for _, id := range sv.fleetOrder {
-		fj := sv.fleets[id]
-		if excess > 0 && fj != nil && fj.finalState() != StateRunning {
-			delete(sv.fleets, id)
-			excess--
-			if sv.store != nil {
-				if err := sv.store.RemoveJob(id); err != nil {
-					sv.log.Error("pruning fleet's on-disk state failed", "fleet", id, "err", err)
-				}
-			}
-			continue
-		}
-		kept = append(kept, id)
-	}
-	sv.fleetOrder = kept
-}
-
-func (sv *Server) lookupFleet(id string) *fleetJob {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.fleets[id]
-}
-
-// handleFleetSubmit parses a fleet.Spec and either launches it
-// asynchronously (202 + poll URLs) or, with ?stream=1, runs it bound to
-// the request context and streams NDJSON snapshots.
-func (sv *Server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
+func openFleet(sv *Server, decode func(spec any) error) (engine, any, error) {
 	var spec fleet.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad fleet spec: %w", err))
-		return
+	if err := decode(&spec); err != nil {
+		return nil, nil, err
 	}
 	// "artifact:<id>" population policies resolve against this server's
 	// uploaded artifacts, exactly as grid policy axes do.
 	f, err := spec.Resolve(sv.artifactPolicy)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
+	return &fleetEngine{fleet: f}, &spec, nil
+}
 
-	if r.URL.Query().Get("stream") != "" {
-		sv.runFleetStreaming(w, r, f)
-		return
-	}
+func (e *fleetEngine) describe() (string, int) { return e.fleet.Name, e.fleet.SnapshotCount() }
 
-	ctx, cancel := context.WithCancel(sv.baseCtx)
-	fj, err := sv.registerFleet(f, cancel) // on success, wg is incremented for the job
-	if err != nil {
-		cancel()
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if sv.store != nil {
-		// Journal the job before any epoch runs: the spec header alone is
-		// enough for a crashed boot to restart the run from epoch zero.
-		if line, merr := json.Marshal(&spec); merr == nil {
-			if journal, jerr := sv.store.NewJobJournal(fj.id, line); jerr == nil {
-				fj.journal = journal
-			} else {
-				sv.log.Error("fleet journal creation failed; running without durability",
-					"fleet", fj.id, "err", jerr)
+func (e *fleetEngine) submitted() map[string]any {
+	return map[string]any{"devices": e.fleet.Devices, "epochs": e.fleet.Epochs, "snapshots": e.fleet.SnapshotCount()}
+}
+
+func (e *fleetEngine) streamed() map[string]any { return map[string]any{"devices": e.fleet.Devices} }
+
+// bind attaches the per-fleet instrument set, labeled by job id (ids
+// are stable across restarts, so a resumed fleet continues its series).
+func (e *fleetEngine) bind(reg *obs.Registry, id string) {
+	e.cSnapshots = reg.Counter(obs.Metric(mFleetSnapshots, "fleet", id))
+	e.cEvents = reg.Counter(obs.Metric(mFleetEvents, "fleet", id))
+	e.cBrownouts = reg.Counter(obs.Metric(mFleetBrownouts, "fleet", id))
+	reg.Gauge(obs.Metric(mFleetDevices, "fleet", id)).Set(float64(e.fleet.Devices))
+}
+
+// resume validates journaled epoch snapshots against the spec's shape
+// and sets the engine to fast-forward to the epoch after the last one.
+func (e *fleetEngine) resume(lines [][]byte) ([][]byte, error) {
+	f := e.fleet
+	last := -1
+	for i, line := range lines {
+		var snap ehinfer.FleetSnapshot
+		if err := json.Unmarshal(line, &snap); err != nil {
+			return nil, fmt.Errorf("journal line %d: %w", i+1, err)
+		}
+		// The journal must describe the same fleet the spec resolves to
+		// now; a registry change under the spec would otherwise splice two
+		// different simulations together.
+		if snap.Devices != f.Devices || len(snap.Populations) != len(f.Pops) {
+			return nil, fmt.Errorf("journal line %d: snapshot shape does not match the spec", i+1)
+		}
+		for pi, ps := range snap.Populations {
+			if ps.Name != f.Pops[pi].Name {
+				return nil, fmt.Errorf("journal line %d: population %d is %q, spec says %q",
+					i+1, pi, ps.Name, f.Pops[pi].Name)
 			}
 		}
-	}
-	go func() {
-		defer sv.wg.Done()
-		defer cancel()
-		fj.run(ctx, sv.session)
-	}()
-
-	w.Header().Set("Location", "/v1/fleets/"+fj.id)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":        fj.id,
-		"name":      f.Name,
-		"devices":   f.Devices,
-		"epochs":    f.Epochs,
-		"snapshots": f.SnapshotCount(),
-		"status":    "/v1/fleets/" + fj.id,
-		"results":   "/v1/fleets/" + fj.id + "/results",
-	})
-}
-
-// runFleetStreaming executes the fleet synchronously on the request: one
-// NDJSON line per emitted snapshot, then a final summary line. The run
-// inherits the request context, so client disconnects abort it.
-func (sv *Server) runFleetStreaming(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	ctx, cancel := mergeCancel(r.Context(), sv.baseCtx)
-	defer cancel()
-	fj, err := sv.registerFleet(f, cancel) // on success, wg is incremented for the job
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flush(w)
-
-	runDone := make(chan struct{})
-	go func() {
-		defer sv.wg.Done()
-		defer close(runDone)
-		fj.run(ctx, sv.session)
-	}()
-
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		batch, state := fj.next(ctx, sent)
-		for _, snap := range batch {
-			if err := enc.Encode(snap); err != nil {
-				cancel() // client is gone: abort the run
-				<-runDone
-				return
-			}
-			sent++
+		if snap.Epoch <= last || snap.Epoch >= f.Epochs {
+			return nil, fmt.Errorf("journal line %d: epoch %d out of order (previous %d, fleet has %d)",
+				i+1, snap.Epoch, last, f.Epochs)
 		}
-		flush(w)
-		if state != StateRunning {
-			break
-		}
-		if ctx.Err() != nil {
-			<-runDone
-			return
-		}
+		last = snap.Epoch
 	}
-	<-runDone
-	st := fj.snapshot()
-	_ = enc.Encode(map[string]any{
-		"done": true, "state": st.State, "completed": st.Completed,
-		"total": st.Total, "devices": f.Devices,
-	})
+	e.startEpoch = last + 1
+	return lines, nil
 }
 
-func (sv *Server) handleFleetList(w http.ResponseWriter, _ *http.Request) {
-	sv.mu.Lock()
-	fleets := make([]*fleetJob, 0, len(sv.fleetOrder))
-	for _, id := range sv.fleetOrder {
-		fleets = append(fleets, sv.fleets[id])
+func (e *fleetEngine) run(ctx context.Context, session *ehinfer.Session, emit func(any, bool)) (outcome, error) {
+	fr := session.ResumeFleet(ctx, e.fleet, e.startEpoch) // startEpoch 0 == plain start
+	for snap := range fr.Snapshots() {
+		e.note(snap)
+		// Snapshots are only emitted at completed epoch barriers, so every
+		// one is a state the determinism contract can fast-forward to.
+		emit(snap, true)
 	}
-	sv.mu.Unlock()
-	out := make([]JobStatus, 0, len(fleets))
-	for _, fj := range fleets {
-		out = append(out, fj.snapshot())
+	res, err := fr.Wait()
+	if err != nil || res == nil {
+		return outcome{}, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"fleets": out})
+	doc, err := res.JSON()
+	return outcome{doc: doc}, err
 }
 
-func (sv *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	fj := sv.lookupFleet(r.PathValue("id"))
-	if fj == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown fleet %q", r.PathValue("id")))
-		return
+// note feeds the per-fleet metric families from one emitted snapshot.
+func (e *fleetEngine) note(snap fleet.Snapshot) {
+	e.cSnapshots.Inc()
+	var events, missed int64
+	for _, ps := range snap.Populations {
+		events += ps.Events
+		missed += ps.Missed
 	}
-	writeJSON(w, http.StatusOK, fj.snapshot())
+	e.cEvents.Add(events)
+	e.cBrownouts.Add(missed)
 }
 
-// handleFleetResults serves a finished fleet's deterministic result
-// document; with ?format=ndjson it follows the run live, one snapshot
-// per line, ending with a summary line.
-func (sv *Server) handleFleetResults(w http.ResponseWriter, r *http.Request) {
-	fj := sv.lookupFleet(r.PathValue("id"))
-	if fj == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown fleet %q", r.PathValue("id")))
-		return
+// restoreFleet reads a finished fleet back from its final document.
+func restoreFleet(j *job, doc []byte) error {
+	var d struct {
+		Name      string                  `json:"name"`
+		Snapshots []ehinfer.FleetSnapshot `json:"snapshots"`
 	}
-	if r.URL.Query().Get("format") == "ndjson" {
-		sv.followFleetNDJSON(w, r, fj)
-		return
+	if err := json.Unmarshal(doc, &d); err != nil {
+		return err
 	}
-	data := fj.finalBytes()
-	if data == nil {
-		st := fj.snapshot()
-		if st.State == StateRunning {
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  "fleet still running; poll status or use ?format=ndjson to stream",
-				"status": st,
-			})
-			return
-		}
-		writeErr(w, http.StatusInternalServerError,
-			fmt.Errorf("fleet %s finished without results: %s", fj.id, st.Err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// followFleetNDJSON tails a fleet's snapshots: everything emitted so
-// far, then live updates until the run ends or the client disconnects.
-// Disconnecting a follower never cancels the run itself.
-func (sv *Server) followFleetNDJSON(w http.ResponseWriter, r *http.Request, fj *fleetJob) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flush(w)
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		batch, state := fj.next(r.Context(), sent)
-		for _, snap := range batch {
-			if err := enc.Encode(snap); err != nil {
-				return
-			}
-			sent++
-		}
-		flush(w)
-		if state != StateRunning {
-			st := fj.snapshot()
-			_ = enc.Encode(map[string]any{
-				"done": true, "state": state, "completed": st.Completed, "total": st.Total,
-			})
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-	}
-}
-
-func (sv *Server) handleFleetCancel(w http.ResponseWriter, r *http.Request) {
-	fj := sv.lookupFleet(r.PathValue("id"))
-	if fj == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown fleet %q", r.PathValue("id")))
-		return
-	}
-	// An explicit cancel aborts the journal too, as with grids.
-	fj.aborted.Store(true)
-	fj.cancel()
-	writeJSON(w, http.StatusAccepted, fj.snapshot())
-}
-
-// jobEntry is one row of the unified GET /v1/jobs listing.
-type jobEntry struct {
-	Kind string `json:"kind"`
-	JobStatus
-}
-
-// handleJobs lists every async job the server knows — grid and fleet —
-// in submission order within each kind.
-func (sv *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	sv.mu.Lock()
-	grids := make([]*job, 0, len(sv.order))
-	for _, id := range sv.order {
-		grids = append(grids, sv.jobs[id])
-	}
-	fleets := make([]*fleetJob, 0, len(sv.fleetOrder))
-	for _, id := range sv.fleetOrder {
-		fleets = append(fleets, sv.fleets[id])
-	}
-	sv.mu.Unlock()
-	out := make([]jobEntry, 0, len(grids)+len(fleets))
-	for _, j := range grids {
-		out = append(out, jobEntry{Kind: "grid", JobStatus: j.snapshot()})
-	}
-	for _, fj := range fleets {
-		out = append(out, jobEntry{Kind: "fleet", JobStatus: fj.snapshot()})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	j.name = d.Name
+	var err error
+	j.items, err = itemLines(d.Snapshots)
+	return err
 }

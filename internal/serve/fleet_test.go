@@ -237,6 +237,9 @@ func TestServeFleetBadSpecs(t *testing.T) {
 		`{"populations": []}`,
 		`{"populations": [{"name": "x", "count": 0}]}`,
 		`{"populations": [{"name": "x", "count": 1, "device": "nope"}]}`,
+		fastFleetSpec + ` garbage`,
+		fastFleetSpec + `}`,
+		fastFleetSpec + `{"garbage": true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
 		if err != nil {

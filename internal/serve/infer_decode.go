@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	ehinfer "repro"
@@ -35,16 +36,34 @@ func decodeInferRequest(body []byte) (inferRequest, error) {
 }
 
 // jsonInferRequest is the general decoder: encoding/json, rejecting
-// unknown fields. It is also the reference the fast path is fuzzed
-// against.
+// unknown fields, bytes after the object, and null pixels. It is also
+// the reference the fast path is fuzzed against.
 func jsonInferRequest(body []byte) (inferRequest, error) {
 	var req inferRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		return inferRequest{}, fmt.Errorf("%w: bad infer request: %v", ehinfer.ErrBadInput, err)
 	}
+	if nullPixel(body) {
+		return inferRequest{}, fmt.Errorf("%w: bad infer request: null pixel value", ehinfer.ErrBadInput)
+	}
 	return req, nil
+}
+
+// nullPixel reports whether a decoded body holds null as an element of
+// input or inputs. encoding/json leaves a float32 at zero for null, so
+// such a pixel would reach the model as black. Only bodies that spell
+// null somewhere pay for the second decode.
+func nullPixel(body []byte) bool {
+	if !bytes.Contains(body, []byte("null")) {
+		return false
+	}
+	var probe struct {
+		Input  []*float32   `json:"input"`
+		Inputs [][]*float32 `json:"inputs"`
+	}
+	_ = json.Unmarshal(body, &probe) // decodes: the same bytes just did
+	return slices.Contains(probe.Input, nil) ||
+		slices.ContainsFunc(probe.Inputs, func(in []*float32) bool { return slices.Contains(in, nil) })
 }
 
 // fastInferRequest decodes the common request shape in one pass over

@@ -196,10 +196,11 @@ func TestFastInferRequestShape(t *testing.T) {
 	}
 }
 
-// FuzzDecodeInferRequest checks the single pass against encoding/json on
-// the same bytes: whatever the fast path accepts, encoding/json accepts
+// FuzzDecodeInferRequest checks the single pass against jsonInferRequest
+// (encoding/json, strict about trailing bytes and null pixels) on the
+// same bytes: whatever the fast path accepts, jsonInferRequest accepts
 // and decodes to an equal request, and the full decode rejects exactly
-// what encoding/json rejects, with the same ErrBadInput message.
+// what jsonInferRequest rejects, with the same ErrBadInput message.
 func FuzzDecodeInferRequest(f *testing.F) {
 	// Benchmark-shaped seeds carry 24 values, not 3072: the fuzzer
 	// minimizes every input that finds new coverage, and on a 30 KB body

@@ -228,6 +228,11 @@ func TestServeInferBadRequests(t *testing.T) {
 		{"negative exit", strings.Replace(okInput, `]]}`, `]],"exit":-2}`, 1), http.StatusBadRequest},
 		{"exit too deep", strings.Replace(okInput, `]]}`, `]],"exit":9}`, 1), http.StatusBadRequest},
 		{"bad threshold", strings.Replace(okInput, `]]}`, `]],"threshold":2}`, 1), http.StatusBadRequest},
+		{"trailing word", okInput + " garbage", http.StatusBadRequest},
+		{"trailing brace", okInput + "}", http.StatusBadRequest},
+		{"second object", okInput + `{"artifact":"a1"}`, http.StatusBadRequest},
+		{"null pixel in input", strings.Replace(strings.Replace(okInput, `"inputs":[[0.000,`, `"input":[null,`, 1), `]]}`, `]}`, 1), http.StatusBadRequest},
+		{"null pixel in inputs", strings.Replace(okInput, `[[0.000,`, `[[null,`, 1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, out := postInfer(t, ts.URL, tc.body)

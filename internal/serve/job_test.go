@@ -397,3 +397,66 @@ func TestJobRetention(t *testing.T) {
 		t.Fatalf("fleet's final document left the data dir: %v", err)
 	}
 }
+
+// TestJobIDsNeverReissued: a canceled job leaves nothing on disk, and a
+// streamed one never had a journal, yet after a restart neither id is
+// issued again, for either kind.
+func TestJobIDsNeverReissued(t *testing.T) {
+	dir := t.TempDir()
+	sv, ts := durableServer(t, dir, 1)
+	if e := call(t, "POST", ts.URL+"/v1/grids?stream=1", tinySpec); e.code != http.StatusOK {
+		t.Fatalf("streamed grid: %d %q", e.code, e.body)
+	}
+	for _, k := range wireKinds {
+		id := postJSON(t, ts.URL+k.path, k.slow)["id"].(string)
+		if e := call(t, "DELETE", ts.URL+k.path+"/"+id, ""); e.code != http.StatusAccepted {
+			t.Fatalf("DELETE %s: %d", id, e.code)
+		}
+		if k.prefix == "g" {
+			waitState(t, ts.URL, id, StateCanceled)
+		} else {
+			waitFleetState(t, ts.URL, id, StateCanceled)
+		}
+	}
+	shutdownServer(t, sv, ts)
+
+	sv2, ts2 := durableServer(t, dir, 1)
+	defer shutdownServer(t, sv2, ts2)
+	for _, k := range wireKinds {
+		want := map[string]string{"g": "g3", "f": "f2"}[k.prefix]
+		if id := postJSON(t, ts2.URL+k.path, k.fast)["id"]; id != want {
+			t.Errorf("first %s after the restart got id %v, want %s", k.path, id, want)
+		}
+	}
+}
+
+// TestJobsKeepSubmissionOrderAcrossRestart: restored jobs list in the
+// order they were submitted, g2 before g10, which is also the order
+// retention drops them in.
+func TestJobsKeepSubmissionOrderAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	sv, ts := durableServer(t, dir, 1)
+	var want []string
+	for range 11 {
+		id := postJSON(t, ts.URL+"/v1/grids", tinySpec)["id"].(string)
+		waitState(t, ts.URL, id, StateDone)
+		want = append(want, id)
+	}
+	shutdownServer(t, sv, ts)
+
+	sv2, ts2 := durableServer(t, dir, 1)
+	defer shutdownServer(t, sv2, ts2)
+	var list struct {
+		Grids []JobStatus `json:"grids"`
+	}
+	if err := json.Unmarshal([]byte(call(t, "GET", ts2.URL+"/v1/grids", "").body), &list); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range list.Grids {
+		got = append(got, st.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("grids after a restart listed %v, want %v", got, want)
+	}
+}

@@ -100,16 +100,8 @@ func (sv *Server) initMetrics() {
 		sv.reg.SetHelp(m.name, m.kind, m.help)
 	}
 	sv.reg.Gauge(mStartTime).Set(float64(sv.started.UnixNano()) / 1e9)
-	sv.reg.GaugeFunc(mGridJobs, func() float64 {
-		sv.mu.Lock()
-		defer sv.mu.Unlock()
-		return float64(len(sv.jobs))
-	})
-	sv.reg.GaugeFunc(mFleetJobs, func() float64 {
-		sv.mu.Lock()
-		defer sv.mu.Unlock()
-		return float64(len(sv.fleets))
-	})
+	sv.reg.GaugeFunc(mGridJobs, sv.retained(sv.grids))
+	sv.reg.GaugeFunc(mFleetJobs, sv.retained(sv.fleets))
 	sv.reg.GaugeFunc(mArtifacts, func() float64 {
 		sv.mu.Lock()
 		defer sv.mu.Unlock()
@@ -209,6 +201,16 @@ func writeError(w http.ResponseWriter, err error) {
 	writeErr(w, code, err)
 }
 
+// retained reads how many jobs of kind k the server keeps, running and
+// finished.
+func (sv *Server) retained(k *jobKind) func() float64 {
+	return func() float64 {
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+		return float64(len(k.order))
+	}
+}
+
 // statsDeprecation is the /v1/stats deprecation notice.
 const statsDeprecation = "GET /v1/stats is deprecated; scrape GET /metrics (Prometheus text format) instead"
 
@@ -222,7 +224,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, tgt := range sv.infers {
 		targets = append(targets, tgt)
 	}
-	jobs := len(sv.jobs)
+	jobs := len(sv.grids.order)
 	sv.mu.Unlock()
 
 	infer := make(map[string]inferStatus, len(targets))

@@ -2,23 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 
 	ehinfer "repro"
-	"repro/internal/exper"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
 // recoverFromStore repopulates the server from its data directory at
 // construction: verified artifacts come back under their original IDs,
-// finished grid jobs serve their final documents again, and unfinished
-// jobs resume from their journals — restored points filled in verbatim,
-// only the remainder re-run. Called from New before the listener exists,
+// finished jobs serve their final documents again, and unfinished jobs
+// resume from their journals — restored items filled in verbatim, only
+// the remainder re-run. Called from New before the listener exists,
 // so it may touch server maps without contention (it still takes sv.mu
 // where the register/Shutdown protocol demands it).
 func (sv *Server) recoverFromStore() {
@@ -75,270 +75,119 @@ func (sv *Server) recoverArtifacts() {
 	}
 }
 
-// finalDoc is the slice of a final GridResult document recovery needs to
-// rebuild a finished job's status and streaming views.
-type finalDoc struct {
-	Grid struct {
-		Name string `json:"name"`
-	} `json:"grid"`
-	Results []ehinfer.ExperimentResult `json:"results"`
-}
-
 func (sv *Server) recoverJobs() {
 	unfinished, finished, err := sv.store.RecoverJobs()
 	if err != nil {
 		sv.log.Error("recovery: scanning jobs failed; resuming none", "err", err)
 		return
 	}
-	// Grid and fleet journals share the store; the id prefix ("g"/"f")
-	// decides which spec shape and resume path a journal gets — a fleet
-	// spec would otherwise silently unmarshal into a zero GridSpec.
-	maxSeq, maxFleetSeq := 0, 0
-	note := func(id string) {
-		if rest, ok := strings.CutPrefix(id, "g"); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > maxSeq {
-				maxSeq = n
-			}
-		} else if rest, ok := strings.CutPrefix(id, "f"); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > maxFleetSeq {
-				maxFleetSeq = n
-			}
-		}
-	}
-
 	for _, f := range finished {
-		note(f.ID)
-		if strings.HasPrefix(f.ID, "f") {
-			sv.recoverFinishedFleet(f)
-			continue
+		if k := sv.claim(f.ID); k != nil {
+			sv.restoreFinished(k, f)
 		}
-		var doc finalDoc
-		if err := json.Unmarshal(f.Final, &doc); err != nil {
-			sv.log.Error("recovery: final document unreadable, dropping job", "job", f.ID, "err", err)
-			_ = sv.store.RemoveJob(f.ID)
-			continue
-		}
-		j := restoredDoneJob(f.ID, doc, f.Final)
-		sv.jobs[j.id] = j
-		sv.order = append(sv.order, j.id)
 	}
-
 	resumed := 0
 	for _, u := range unfinished {
-		note(u.ID)
-		if strings.HasPrefix(u.ID, "f") {
-			snaps, err := sv.resumeFleetJob(u)
-			if err != nil {
-				sv.log.Error("recovery: cannot resume fleet, dropping its journal", "fleet", u.ID, "err", err)
-				_ = sv.store.RemoveJob(u.ID)
-				continue
-			}
-			resumed++
-			sv.reg.Counter(mFleetsResumed).Inc()
-			sv.reg.Counter(mFleetSnapshotsRestored).Add(int64(snaps))
+		k := sv.claim(u.ID)
+		if k == nil {
 			continue
 		}
-		points, err := sv.resumeJob(u)
+		items, err := sv.resume(k, u)
 		if err != nil {
-			sv.log.Error("recovery: cannot resume job, dropping its journal", "job", u.ID, "err", err)
+			sv.log.Error("recovery: cannot resume job, dropping its journal", "kind", k.name, "job", u.ID, "err", err)
 			_ = sv.store.RemoveJob(u.ID)
 			continue
 		}
 		resumed++
-		sv.reg.Counter(mJobsResumed).Inc()
-		sv.reg.Counter(mJobPointsRestored).Add(int64(points))
+		k.countResume(sv.reg, items)
 	}
-	if sv.nextID < maxSeq {
-		sv.nextID = maxSeq
+	sv.mu.Lock()
+	for _, k := range sv.kinds() {
+		// Ids continue past every id issued before, including those of
+		// jobs that left nothing on disk: canceled, failed or streamed.
+		k.last = max(k.last, sv.store.MaxSeq(k.prefix))
+		// Submission order is the order of the numbers in the ids, not of
+		// their spelling, which puts g10 before g2.
+		slices.SortFunc(k.order, func(a, b string) int { return cmp.Compare(k.seq(a), k.seq(b)) })
 	}
-	if sv.nextFleetID < maxFleetSeq {
-		sv.nextFleetID = maxFleetSeq
-	}
+	sv.mu.Unlock()
 	if len(finished) > 0 || resumed > 0 {
 		sv.log.Info("recovery: jobs", "finished", len(finished), "resumed", resumed)
 	}
 }
 
-// fleetFinalDoc is the slice of a final fleet Result document recovery
-// needs to rebuild a finished fleet job's status and streaming views.
-type fleetFinalDoc struct {
-	Name      string                  `json:"name"`
-	Snapshots []ehinfer.FleetSnapshot `json:"snapshots"`
+// claim returns the kind a recovered job id belongs to by its prefix
+// ("g"/"f"), which decides the spec shape and resume path its journal
+// gets — a fleet spec would otherwise silently unmarshal into a zero
+// GridSpec. It raises the kind's id sequence to the id's, whatever
+// becomes of the job. Ids of no kind are logged and left on disk.
+func (sv *Server) claim(id string) *jobKind {
+	for _, k := range sv.kinds() {
+		if n := k.seq(id); n > 0 && strings.HasPrefix(id, k.prefix) {
+			k.last = max(k.last, n)
+			return k
+		}
+	}
+	sv.log.Error("recovery: job id of no known kind, leaving it", "job", id)
+	return nil
 }
 
-// recoverFinishedFleet rebuilds a finished fleet job from its final
-// document so status, snapshot streaming, and the byte-identical final
-// JSON all serve again after a restart.
-func (sv *Server) recoverFinishedFleet(f store.FinishedJob) {
-	var doc fleetFinalDoc
-	if err := json.Unmarshal(f.Final, &doc); err != nil {
-		sv.log.Error("recovery: fleet final document unreadable, dropping job", "fleet", f.ID, "err", err)
+// restoreFinished rebuilds a finished job from its final document:
+// status, item streaming, and the byte-identical final document all
+// serve again after a restart.
+func (sv *Server) restoreFinished(k *jobKind, f store.FinishedJob) {
+	j := newJob(k, f.ID, nil, func() {}, sv.log)
+	if err := k.restore(j, f.Final); err != nil {
+		sv.log.Error("recovery: final document unreadable, dropping job", "kind", k.name, "job", f.ID, "err", err)
 		_ = sv.store.RemoveJob(f.ID)
 		return
 	}
-	fj := newFleetJob(f.ID, nil, func() {})
-	fj.name = doc.Name
-	fj.total = len(doc.Snapshots)
-	fj.state = StateDone
-	fj.results = doc.Snapshots
-	fj.finalJSON = f.Final
-	sv.fleets[fj.id] = fj
-	sv.fleetOrder = append(sv.fleetOrder, fj.id)
-}
-
-// resumeFleetJob relaunches one journaled fleet run: the spec header
-// resolves back to a fleet (against the already-restored artifacts),
-// journaled epoch snapshots are validated against the spec's shape, and
-// the engine fast-forwards deterministically to the epoch after the last
-// journaled one — the determinism contract makes the resumed final
-// document byte-identical to an uninterrupted run's. Returns the number
-// of restored snapshots.
-func (sv *Server) resumeFleetJob(u store.UnfinishedJob) (int, error) {
-	var spec ehinfer.FleetSpec
-	if err := json.Unmarshal(u.Spec, &spec); err != nil {
-		return 0, fmt.Errorf("spec header: %w", err)
-	}
-	f, err := spec.Resolve(sv.artifactPolicy)
-	if err != nil {
-		return 0, fmt.Errorf("resolve fleet: %w", err)
-	}
-	restored := make([]ehinfer.FleetSnapshot, 0, len(u.Lines))
-	last := -1
-	for i, line := range u.Lines {
-		var snap ehinfer.FleetSnapshot
-		if err := json.Unmarshal(line, &snap); err != nil {
-			return 0, fmt.Errorf("journal line %d: %w", i+1, err)
-		}
-		// The journal must describe the same fleet the spec resolves to
-		// now; a registry change under the spec would otherwise splice two
-		// different simulations together.
-		if snap.Devices != f.Devices || len(snap.Populations) != len(f.Pops) {
-			return 0, fmt.Errorf("journal line %d: snapshot shape does not match the spec", i+1)
-		}
-		for pi, ps := range snap.Populations {
-			if ps.Name != f.Pops[pi].Name {
-				return 0, fmt.Errorf("journal line %d: population %d is %q, spec says %q",
-					i+1, pi, ps.Name, f.Pops[pi].Name)
-			}
-		}
-		if snap.Epoch <= last || snap.Epoch >= f.Epochs {
-			return 0, fmt.Errorf("journal line %d: epoch %d out of order (previous %d, fleet has %d)",
-				i+1, snap.Epoch, last, f.Epochs)
-		}
-		last = snap.Epoch
-		restored = append(restored, snap)
-	}
-	journal, err := sv.store.OpenJobJournal(u.ID)
-	if err != nil {
-		return 0, err
-	}
-
-	ctx, cancel := context.WithCancel(sv.baseCtx)
-	fj := newFleetJob(u.ID, f, cancel)
-	fj.log = sv.log
-	fj.journal = journal
-	fj.restored = restored
-	fj.startEpoch = last + 1
-
-	sv.mu.Lock()
-	sv.bindFleetMetrics(fj)
-	sv.fleets[fj.id] = fj
-	sv.fleetOrder = append(sv.fleetOrder, fj.id)
-	sv.wg.Add(1)
-	sv.mu.Unlock()
-	go func() {
-		defer sv.wg.Done()
-		defer cancel()
-		fj.run(ctx, sv.session)
-	}()
-	return len(restored), nil
-}
-
-// resumeJob relaunches one journaled grid run: the spec header resolves
-// back to a grid (against the already-restored artifacts), journaled
-// point results become the engine's Completed set, and the job goes back
-// into the server's tables exactly as a fresh submission would — with
-// its journal reattached so further points keep checkpointing. Returns
-// the number of restored points.
-func (sv *Server) resumeJob(u store.UnfinishedJob) (int, error) {
-	var spec exper.GridSpec
-	if err := json.Unmarshal(u.Spec, &spec); err != nil {
-		return 0, fmt.Errorf("spec header: %w", err)
-	}
-	grid, err := spec.GridResolved(sv.artifactPolicy)
-	if err != nil {
-		return 0, fmt.Errorf("resolve grid: %w", err)
-	}
-	points := grid.Points()
-	completed := make(map[int]ehinfer.ExperimentResult, len(u.Lines))
-	restored := make([]ehinfer.ExperimentResult, 0, len(u.Lines))
-	for i, line := range u.Lines {
-		var res ehinfer.ExperimentResult
-		if err := json.Unmarshal(line, &res); err != nil {
-			return 0, fmt.Errorf("journal line %d: %w", i+1, err)
-		}
-		if res.Skipped {
-			// Journals never record skipped points (checkpoint filters
-			// them), but an old or hand-edited journal must not pin a
-			// never-ran point as completed.
-			continue
-		}
-		idx := res.Point.Index
-		if idx < 0 || idx >= len(points) {
-			return 0, fmt.Errorf("journal line %d: point index %d outside grid of %d", i+1, idx, len(points))
-		}
-		if points[idx].RunSeed != res.Point.RunSeed {
-			// The spec on disk no longer derives the journaled point (e.g.
-			// a registry changed under it): replaying would silently mix
-			// two different experiments.
-			return 0, fmt.Errorf("journal line %d: point %d run seed %d does not match grid's %d",
-				i+1, idx, res.Point.RunSeed, points[idx].RunSeed)
-		}
-		if _, dup := completed[idx]; !dup {
-			restored = append(restored, res)
-		}
-		completed[idx] = res
-	}
-	journal, err := sv.store.OpenJobJournal(u.ID)
-	if err != nil {
-		return 0, err
-	}
-
-	ctx, cancel := context.WithCancel(sv.baseCtx)
-	j := newJob(u.ID, grid, cancel)
-	j.log = sv.log
-	j.journal = journal
-	j.restored = restored
-	j.completed = completed
-
-	sv.mu.Lock()
-	sv.jobs[j.id] = j
-	sv.order = append(sv.order, j.id)
-	sv.wg.Add(1)
-	sv.mu.Unlock()
-	go func() {
-		defer sv.wg.Done()
-		defer cancel()
-		j.run(ctx, sv.session)
-	}()
-	return len(completed), nil
-}
-
-// restoredDoneJob rebuilds a finished job's serving state from its final
-// document: status, results streaming, and the byte-identical final JSON
-// all work again; only Workers/Elapsed telemetry is gone (it was never
-// serialized, by the determinism contract).
-func restoredDoneJob(id string, doc finalDoc, final []byte) *job {
-	j := newJob(id, nil, func() {})
-	j.name = doc.Grid.Name
-	j.total = len(doc.Results)
+	j.total = len(j.items)
 	j.state = StateDone
-	j.results = doc.Results
-	j.finalJSON = final
-	for _, r := range doc.Results {
-		if r.Err != "" && !r.Skipped {
-			j.pointErrs++
+	j.out.doc = f.Final
+	sv.mu.Lock()
+	sv.admitLocked(j)
+	sv.mu.Unlock()
+}
+
+// resume relaunches one journaled run: the spec header resolves back to
+// an engine (against the already-restored artifacts), which checks the
+// journaled items against the spec and takes them as done, and the job
+// goes back into the server's tables exactly as a fresh submission
+// would — with its journal reattached so further items keep
+// checkpointing. Returns the number of restored items.
+func (sv *Server) resume(k *jobKind, u store.UnfinishedJob) (int, error) {
+	eng, _, err := k.open(sv, func(spec any) error {
+		if err := json.Unmarshal(u.Spec, spec); err != nil {
+			return fmt.Errorf("spec header: %w", err)
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return j
+	restored, err := eng.resume(u.Lines)
+	if err != nil {
+		return 0, err
+	}
+	journal, err := sv.store.OpenJobJournal(u.ID)
+	if err != nil {
+		return 0, err
+	}
+
+	ctx, cancel := context.WithCancel(sv.baseCtx)
+	j := newJob(k, u.ID, eng, cancel, sv.log)
+	j.journal = journal
+	// Journaled items stream first, in their original order, so a
+	// follower attached across the restart sees the same sequence an
+	// uninterrupted run would have produced.
+	for _, line := range restored {
+		j.items = append(j.items, append(line, '\n'))
+	}
+	sv.mu.Lock()
+	sv.admitLocked(j)
+	sv.wg.Add(1)
+	sv.mu.Unlock()
+	sv.launch(ctx, j)
+	return len(restored), nil
 }

@@ -251,6 +251,9 @@ func TestServeRejectsBadInput(t *testing.T) {
 		`{not json`,
 		`{"devices": ["Z80"]}`,
 		`{"unknownField": 1}`,
+		fastSpec + ` garbage`,
+		fastSpec + `}`,
+		fastSpec + `{"garbage": true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/grids", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -24,7 +24,8 @@ import (
 	"repro/internal/store"
 )
 
-// maxSpecBytes bounds a submitted grid spec; real specs are a few KB.
+// maxSpecBytes bounds a submitted grid or fleet spec; real specs are a
+// few KB.
 const maxSpecBytes = 1 << 20
 
 // Artifact-store bounds: uploads are whole deployment bundles held in
@@ -124,16 +125,10 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // submission order, for listing
-	nextID int
+	jobs   map[string]*job // every retained job, grid or fleet, by id
+	grids  *jobKind
+	fleets *jobKind
 	closed bool
-
-	// Fleet jobs live beside grids with their own id space ("f<N>") and
-	// retention budget, sharing the WaitGroup/closed admission protocol.
-	fleets      map[string]*fleetJob
-	fleetOrder  []string // submission order, for listing
-	nextFleetID int
 
 	artifacts map[string]*storedArtifact
 	artOrder  []string // upload order, for listing
@@ -250,7 +245,8 @@ func New(opts ...Option) *Server {
 		baseCtx:   ctx,
 		stop:      cancel,
 		jobs:      make(map[string]*job),
-		fleets:    make(map[string]*fleetJob),
+		grids:     gridKind(),
+		fleets:    fleetKind(),
 		artifacts: make(map[string]*storedArtifact),
 		infers:    make(map[string]*inferTarget),
 	}
@@ -303,17 +299,18 @@ type route struct {
 // routes is the server's full route table — the single place paths map
 // to handlers, and the source of the per-route metric labels.
 func (sv *Server) routes() []route {
-	rts := []route{
-		{"POST", "/v1/grids", sv.handleSubmit},
-		{"GET", "/v1/grids", sv.handleList},
-		{"GET", "/v1/grids/{id}", sv.handleStatus},
-		{"GET", "/v1/grids/{id}/results", sv.handleResults},
-		{"DELETE", "/v1/grids/{id}", sv.handleCancel},
-		{"POST", "/v1/fleets", sv.handleFleetSubmit},
-		{"GET", "/v1/fleets", sv.handleFleetList},
-		{"GET", "/v1/fleets/{id}", sv.handleFleetStatus},
-		{"GET", "/v1/fleets/{id}/results", sv.handleFleetResults},
-		{"DELETE", "/v1/fleets/{id}", sv.handleFleetCancel},
+	var rts []route
+	for _, k := range sv.kinds() {
+		p := "/v1/" + k.name + "s"
+		rts = append(rts,
+			route{"POST", p, sv.handleSubmit(k)},
+			route{"GET", p, sv.handleList(k)},
+			route{"GET", p + "/{id}", sv.handleStatus(k)},
+			route{"GET", p + "/{id}/results", sv.handleResults(k)},
+			route{"DELETE", p + "/{id}", sv.handleCancel(k)},
+		)
+	}
+	rts = append(rts, []route{
 		{"GET", "/v1/jobs", sv.handleJobs},
 		{"POST", "/v1/infer", sv.handleInfer},
 		{"GET", "/v1/stats", sv.handleStats},
@@ -325,7 +322,7 @@ func (sv *Server) routes() []route {
 		{"GET", "/metrics", sv.handleMetrics},
 		{"GET", "/healthz", sv.handleHealthz},
 		{"GET", "/readyz", sv.handleReadyz},
-	}
+	}...)
 	if sv.pprofOn {
 		rts = append(rts,
 			route{"GET", "/debug/pprof/", pprof.Index},
@@ -431,281 +428,6 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// maxRetainedJobs bounds how many finished jobs the server keeps for
-// status/results queries; past it the oldest finished jobs are dropped
-// so a long-lived daemon does not accumulate result sets forever.
-const maxRetainedJobs = 128
-
-// register admits a new job under the server lock; it fails once the
-// server is shutting down. On success the server's WaitGroup has been
-// incremented for the job — the caller MUST run the job in a goroutine
-// that calls sv.wg.Done. (The Add must happen under the same lock that
-// Shutdown uses to flip closed, or a racing Shutdown could observe a
-// zero WaitGroup and "drain" before the job even starts.)
-func (sv *Server) register(grid *ehinfer.ExperimentGrid, cancel context.CancelFunc) (*job, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if sv.closed {
-		return nil, fmt.Errorf("serve: server is shutting down")
-	}
-	sv.nextID++
-	j := newJob(fmt.Sprintf("g%d", sv.nextID), grid, cancel)
-	j.log = sv.log
-	sv.jobs[j.id] = j
-	sv.order = append(sv.order, j.id)
-	sv.pruneLocked()
-	sv.wg.Add(1)
-	return j, nil
-}
-
-// pruneLocked drops the oldest finished jobs beyond maxRetainedJobs.
-// Running jobs are never dropped. Caller holds sv.mu.
-func (sv *Server) pruneLocked() {
-	if len(sv.order) <= maxRetainedJobs {
-		return
-	}
-	kept := sv.order[:0]
-	excess := len(sv.order) - maxRetainedJobs
-	for _, id := range sv.order {
-		j := sv.jobs[id]
-		if excess > 0 && j != nil {
-			if _, state := j.finalResult(); state != StateRunning {
-				delete(sv.jobs, id)
-				excess--
-				if sv.store != nil {
-					// Retire the on-disk final document with the in-memory
-					// entry, so the data directory stays bounded too.
-					if err := sv.store.RemoveJob(id); err != nil {
-						sv.log.Error("pruning job's on-disk state failed", "job", id, "err", err)
-					}
-				}
-				continue
-			}
-		}
-		kept = append(kept, id)
-	}
-	sv.order = kept
-}
-
-func (sv *Server) lookup(id string) *job {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.jobs[id]
-}
-
-// handleSubmit parses a GridSpec and either launches it asynchronously
-// (202 + poll URLs) or, with ?stream=1, runs it bound to the request
-// context and streams NDJSON per-point results — cancel the request and
-// the workers stop at the next point/episode boundary.
-func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec exper.GridSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad grid spec: %w", err))
-		return
-	}
-	// "artifact:<id>" policy names resolve against this server's
-	// uploaded artifacts before the process-wide registries.
-	grid, err := spec.GridResolved(sv.artifactPolicy)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-
-	if r.URL.Query().Get("stream") != "" {
-		sv.runStreaming(w, r, grid)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(sv.baseCtx)
-	j, err := sv.register(grid, cancel) // on success, wg is incremented for the job
-	if err != nil {
-		cancel()
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if sv.store != nil {
-		// Journal the job before any point runs: the spec header alone is
-		// enough for a crashed boot to restart the run from zero. A
-		// failing journal degrades this job to in-memory-only.
-		if line, merr := json.Marshal(&spec); merr == nil {
-			if journal, jerr := sv.store.NewJobJournal(j.id, line); jerr == nil {
-				j.journal = journal
-			} else {
-				sv.log.Error("job journal creation failed; running without durability",
-					"job", j.id, "err", jerr)
-			}
-		}
-	}
-	go func() {
-		defer sv.wg.Done()
-		defer cancel()
-		j.run(ctx, sv.session)
-	}()
-
-	w.Header().Set("Location", "/v1/grids/"+j.id)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":      j.id,
-		"name":    grid.Name,
-		"points":  grid.Size(),
-		"status":  "/v1/grids/" + j.id,
-		"results": "/v1/grids/" + j.id + "/results",
-	})
-}
-
-// runStreaming executes the grid synchronously on the request: one NDJSON
-// line per completed point, then a final summary line. The run inherits
-// the request context, so client disconnects abort the grid promptly.
-func (sv *Server) runStreaming(w http.ResponseWriter, r *http.Request, grid *ehinfer.ExperimentGrid) {
-	ctx, cancel := mergeCancel(r.Context(), sv.baseCtx)
-	defer cancel()
-	j, err := sv.register(grid, cancel) // on success, wg is incremented for the job
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flush(w)
-
-	runDone := make(chan struct{})
-	go func() {
-		defer sv.wg.Done()
-		defer close(runDone)
-		j.run(ctx, sv.session)
-	}()
-
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		batch, state := j.next(ctx, sent)
-		for _, res := range batch {
-			if err := enc.Encode(res); err != nil {
-				cancel() // client is gone: abort the workers
-				<-runDone
-				return
-			}
-			sent++
-		}
-		flush(w)
-		if state != StateRunning {
-			break
-		}
-		if ctx.Err() != nil {
-			<-runDone
-			return
-		}
-	}
-	<-runDone
-	_, state := j.finalResult()
-	st := j.snapshot()
-	_ = enc.Encode(map[string]any{
-		"done": true, "state": state, "completed": st.Completed,
-		"total": st.Total, "pointErrs": st.PointErrs, "workers": st.Workers,
-	})
-}
-
-func (sv *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	sv.mu.Lock()
-	ids := append([]string(nil), sv.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, sv.jobs[id])
-	}
-	sv.mu.Unlock()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.snapshot())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"grids": out})
-}
-
-func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := sv.lookup(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown grid %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
-}
-
-// handleResults serves a finished job's deterministic GridResult JSON
-// (grid, per-point rows in enumeration order, key-sorted aggregates).
-// With ?format=ndjson it instead follows the run live, one per-point
-// result per line, ending with a summary line — usable both mid-run and
-// after completion.
-func (sv *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := sv.lookup(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown grid %q", r.PathValue("id")))
-		return
-	}
-	if r.URL.Query().Get("format") == "ndjson" {
-		sv.followNDJSON(w, r, j)
-		return
-	}
-	final, state := j.finalResult()
-	if state == StateRunning {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  "grid still running; poll status or use ?format=ndjson to stream",
-			"status": j.snapshot(),
-		})
-		return
-	}
-	// Prefer the captured final document — it also serves jobs restored
-	// from a final file after a restart, whose in-memory GridResult is
-	// gone; both paths are byte-identical by the determinism contract.
-	data := j.finalBytes()
-	if data == nil {
-		if final == nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("grid %s finished without results: %s", j.id, j.snapshot().Err))
-			return
-		}
-		var err error
-		if data, err = final.JSON(); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// followNDJSON tails a job's per-point results: everything completed so
-// far, then live updates until the job leaves StateRunning or the client
-// disconnects. Disconnecting a follower never cancels the job itself.
-func (sv *Server) followNDJSON(w http.ResponseWriter, r *http.Request, j *job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flush(w)
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		batch, state := j.next(r.Context(), sent)
-		for _, res := range batch {
-			if err := enc.Encode(res); err != nil {
-				return
-			}
-			sent++
-		}
-		flush(w)
-		if state != StateRunning {
-			st := j.snapshot()
-			_ = enc.Encode(map[string]any{
-				"done": true, "state": state, "completed": st.Completed,
-				"total": st.Total, "pointErrs": st.PointErrs, "workers": st.Workers,
-			})
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
 	}
 }
 
@@ -927,19 +649,6 @@ func (sv *Server) handleArtifactDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-func (sv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := sv.lookup(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown grid %q", r.PathValue("id")))
-		return
-	}
-	// An explicit cancel aborts the journal too: the operator killed the
-	// run on purpose, so the next boot must not resurrect it.
-	j.aborted.Store(true)
-	j.cancel()
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
 // Registry reports the axis names a GridSpec may reference — surfaced so
 // clients can discover valid devices/policies/traces/schedules/backends
 // without reading source. The listings read the live registries, so
@@ -966,6 +675,29 @@ func mergeCancel(a, b context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(a)
 	stop := context.AfterFunc(b, cancel)
 	return ctx, func() { stop(); cancel() }
+}
+
+// decodeStrict decodes exactly one JSON value from r into v, rejecting
+// unknown fields and anything but whitespace after the value.
+// Decoder.More cannot check that tail: it reports false for a stray
+// '}' or ']'.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
+// startNDJSON commits a 200 NDJSON stream and flushes its header.
+func startNDJSON(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flush(w)
 }
 
 func flush(w http.ResponseWriter) {

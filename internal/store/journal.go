@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +15,10 @@ import (
 const (
 	journalExt = ".journal"
 	finalExt   = ".json"
+	// jobSeqName is the file in the jobs directory that holds, per job
+	// id prefix, the highest id number issued: a JSON object such as
+	// {"f":3,"g":12}. A data dir without it counts the jobs on disk only.
+	jobSeqName = "seq"
 )
 
 // JobJournal checkpoints one grid job: line 1 is the job's spec, every
@@ -247,4 +253,42 @@ func (s *Store) readJournal(id string) (*UnfinishedJob, error) {
 	copy(cp, job.Spec)
 	job.Spec = cp
 	return job, nil
+}
+
+// RecordJobSeq durably records that the job id prefix+n was issued, so
+// MaxSeq(prefix) reports at least n from now on, across restarts, even
+// once nothing of the job is left on disk. Records only ever raise the
+// mark; each one that does rewrites one small file atomically.
+func (s *Store) RecordJobSeq(prefix string, n int) error {
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	if s.jobSeq[prefix] >= n {
+		return nil
+	}
+	s.jobSeq[prefix] = n
+	data, err := json.Marshal(s.jobSeq)
+	if err != nil {
+		return fmt.Errorf("store: encode job ids: %w", err)
+	}
+	return s.atomicWrite(filepath.Join(s.jobsDir(), jobSeqName), data)
+}
+
+// loadJobSeq reads the job id marks RecordJobSeq left. An unreadable
+// file is reported and ignored: ids then continue past the jobs on disk,
+// as in a data dir written before the file existed.
+func (s *Store) loadJobSeq() error {
+	raw, err := s.fs.ReadFile(filepath.Join(s.jobsDir(), jobSeqName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: read job ids: %w", err)
+	}
+	var seq map[string]int
+	if err := json.Unmarshal(raw, &seq); err != nil {
+		s.log.Warn("store: job id marks unreadable, ignoring them", "err", err)
+		return nil
+	}
+	maps.Copy(s.jobSeq, seq)
+	return nil
 }

@@ -176,6 +176,10 @@ type Store struct {
 	order    []string                 // ids in first-put order
 	seen     map[string]struct{}      // every id ever journaled, incl. deleted
 	recovery RecoveryStats
+
+	// seqMu serializes job id records: jobSeq, and the file that keeps it.
+	seqMu  sync.Mutex
+	jobSeq map[string]int // highest job id number recorded, by id prefix
 }
 
 func (s *Store) artifactsDir() string  { return filepath.Join(s.dir, "artifacts") }
@@ -191,11 +195,12 @@ func (s *Store) artifactPath(id string) string {
 // corruption, reap orphans, and compact the manifest.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
-		dir:  dir,
-		fs:   OSFS{},
-		log:  slog.New(slog.DiscardHandler),
-		live: make(map[string]manifestEntry),
-		seen: make(map[string]struct{}),
+		dir:    dir,
+		fs:     OSFS{},
+		log:    slog.New(slog.DiscardHandler),
+		live:   make(map[string]manifestEntry),
+		seen:   make(map[string]struct{}),
+		jobSeq: make(map[string]int),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -206,6 +211,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 	}
 	if err := s.recover(); err != nil {
+		return nil, err
+	}
+	if err := s.loadJobSeq(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -480,11 +488,14 @@ func (s *Store) Artifacts() ([]Artifact, error) {
 // the form prefix+digits ("a7" → 7 for prefix "a"), so a restarted
 // server resumes ID allocation past everything recovered — deleted IDs
 // included: an ID, once handed out, is never reissued to a different
-// artifact. IDs in other shapes count 0.
+// artifact or job. Artifact IDs count from the manifest, job IDs from
+// RecordJobSeq. IDs in other shapes count 0.
 func (s *Store) MaxSeq(prefix string) int {
+	s.seqMu.Lock()
+	max := s.jobSeq[prefix]
+	s.seqMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	max := 0
 	for id := range s.seen {
 		if n, ok := seq(id, prefix); ok && n > max {
 			max = n

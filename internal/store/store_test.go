@@ -395,3 +395,42 @@ func TestMaxSeqIgnoresForeignShapes(t *testing.T) {
 		t.Fatalf("MaxSeq(g) = %d, want 0", got)
 	}
 }
+
+// TestRecordJobSeqAcrossReopen: a recorded job id outlives the job's
+// files, marks only rise, and a data dir whose mark file is damaged or
+// missing still opens, counting from the jobs on disk.
+func TestRecordJobSeqAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir)
+	for _, rec := range []struct {
+		prefix string
+		n      int
+	}{{"g", 3}, {"g", 2}, {"f", 1}} {
+		if err := s.RecordJobSeq(rec.prefix, rec.n); err != nil {
+			t.Fatalf("RecordJobSeq(%s, %d): %v", rec.prefix, rec.n, err)
+		}
+	}
+	j, err := s.NewJobJournal("g3", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := reopen(t, dir)
+	if g, f := s2.MaxSeq("g"), s2.MaxSeq("f"); g != 3 || f != 1 {
+		t.Fatalf("after reopen MaxSeq g=%d f=%d, want 3 and 1", g, f)
+	}
+	unfinished, finished, err := s2.RecoverJobs()
+	if err != nil || len(unfinished)+len(finished) != 0 {
+		t.Fatalf("the mark file was taken for a job: %v %v %v", unfinished, finished, err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "jobs", jobSeqName), []byte(`{"g":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopen(t, dir).MaxSeq("g"); got != 0 {
+		t.Fatalf("damaged mark file: MaxSeq(g) = %d, want 0", got)
+	}
+}

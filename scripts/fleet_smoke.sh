@@ -12,10 +12,10 @@
 # epochs and re-simulates only the remainder.
 set -euo pipefail
 
-PORT="${FLEET_SMOKE_PORT:-18173}"
-BASE="http://127.0.0.1:$PORT"
 TMP="$(mktemp -d)"
 SERVER_PID=""
+BASE=""
+STARTS=0
 cleanup() {
     if [ -n "$SERVER_PID" ]; then
         kill "$SERVER_PID" 2>/dev/null || true
@@ -27,15 +27,29 @@ trap cleanup EXIT
 
 go build -o "$TMP/ehserved" ./cmd/ehserved
 
+# Each start binds port 0: the kernel picks a free port, and the daemon
+# prints the address it bound before it serves. A restart gets a new
+# port, so BASE changes with it.
 start_server() { # $1 = data dir
-    "$TMP/ehserved" -addr "127.0.0.1:$PORT" -workers 1 -data-dir "$1" >>"$TMP/server.log" 2>&1 &
+    STARTS=$((STARTS + 1))
+    local log="$TMP/server-$STARTS.log"
+    "$TMP/ehserved" -addr 127.0.0.1:0 -workers 1 -data-dir "$1" >"$log" 2>&1 &
     SERVER_PID=$!
+    BASE=""
     for _ in $(seq 1 100); do
-        if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+        addr="$(sed -n 's/^ehserved: listening on \([^ ]*\) .*/\1/p' "$log")"
+        if [ -n "$addr" ]; then BASE="http://$addr"; break; fi
+        kill -0 "$SERVER_PID" 2>/dev/null || break
         sleep 0.1
     done
+    if [ -n "$BASE" ]; then
+        for _ in $(seq 1 100); do
+            if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+            sleep 0.1
+        done
+    fi
     echo "fleet-smoke: server never became healthy" >&2
-    cat "$TMP/server.log" >&2
+    cat "$log" >&2
     exit 1
 }
 
