@@ -371,8 +371,8 @@ func (sv *Server) register(k *jobKind, eng engine, cancel context.CancelFunc) (*
 	sv.wg.Add(1)
 	sv.mu.Unlock()
 	if sv.store != nil {
-		// Record the id before anyone learns it: whatever becomes of the
-		// job, no later boot issues the id again.
+		// Record the id before the submitter learns it: whatever becomes
+		// of the job, no later boot issues the id again.
 		if err := sv.store.RecordJobSeq(k.prefix, seq); err != nil {
 			sv.log.Error("recording job id failed; a restart may issue it again", "job", j.id, "err", err)
 		}
@@ -417,19 +417,18 @@ func (sv *Server) pruneLocked(k *jobKind) {
 	k.order = kept
 }
 
-// launch runs j on its own goroutine, for which the caller has done
-// sv.wg.Add, and returns a channel closed once the run has ended.
-func (sv *Server) launch(ctx context.Context, j *job) <-chan struct{} {
-	done := make(chan struct{})
+// launch runs j in the background, for which the caller has done
+// sv.wg.Add, and releases the run's context once the run ends.
+func (sv *Server) launch(ctx context.Context, j *job) {
 	go func() {
 		defer sv.wg.Done()
-		defer close(done)
 		defer j.cancel()
 		j.run(ctx, sv.session)
 	}()
-	return done
 }
 
+// lookup returns the retained job with the given id, of either kind, or
+// nil.
 func (sv *Server) lookup(id string) *job {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -527,7 +526,14 @@ func (sv *Server) runStreaming(w http.ResponseWriter, r *http.Request, k *jobKin
 		return
 	}
 	startNDJSON(w)
-	runDone := sv.launch(ctx, j)
+	// The run's end must not cancel ctx: the tail would take that for
+	// the client leaving and drop the summary line.
+	runDone := make(chan struct{})
+	go func() {
+		defer sv.wg.Done()
+		defer close(runDone)
+		j.run(ctx, sv.session)
+	}()
 	if !j.tail(ctx, w) {
 		cancel() // client is gone: abort the run
 		<-runDone

@@ -75,6 +75,8 @@ func (sv *Server) recoverArtifacts() {
 	}
 }
 
+// recoverJobs puts the store's jobs back into their kinds' tables:
+// finished ones serve their final documents, unfinished ones resume.
 func (sv *Server) recoverJobs() {
 	unfinished, finished, err := sv.store.RecoverJobs()
 	if err != nil {
