@@ -188,9 +188,10 @@ func WithPprof(enabled bool) Option {
 }
 
 // WithStore attaches a durable store: artifacts persist across restarts
-// under their original IDs, grid jobs checkpoint every completed point,
-// and New replays the data directory — finished jobs serve their final
-// documents again, unfinished ones resume where the journal stops.
+// under their original IDs, jobs checkpoint every grid point or fleet
+// snapshot, and New replays the data directory — finished jobs serve
+// their final documents again, unfinished ones resume where the journal
+// stops.
 func WithStore(st *store.Store) Option {
 	return func(sv *Server) { sv.store = st }
 }
