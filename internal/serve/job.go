@@ -276,6 +276,9 @@ func (j *job) next(ctx context.Context, n int) ([][]byte, JobState) {
 	for len(j.items) <= n && j.state == StateRunning && ctx.Err() == nil {
 		j.cond.Wait()
 	}
+	// Lines never change once appended, so the caller may read them after
+	// the lock is released; the capped capacity keeps its appends off the
+	// shared array.
 	return j.items[n:len(j.items):len(j.items)], j.state
 }
 
