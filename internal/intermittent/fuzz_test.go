@@ -76,37 +76,3 @@ func TestEngineInvariantsUnderRandomWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSegmentedInvariants drives RunSegmented with random segment chains.
-func TestSegmentedInvariants(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed | 1)
-		trace := energy.ConstantTrace(2000+rng.Intn(3000), 0.2+rng.Float64())
-		store := energy.DefaultStorage()
-		eng, err := New(mcu.MSP432(), store, trace)
-		if err != nil {
-			return false
-		}
-		n := 1 + rng.Intn(6)
-		var tasks []SegmentTask
-		var totalFlops int64
-		for i := 0; i < n; i++ {
-			f := int64(rng.Intn(1_500_000)) + 1
-			totalFlops += f
-			tasks = append(tasks, SegmentTask{Name: "s", FLOPs: f, CheckpointAfter: true})
-		}
-		res, ok := eng.RunSegmented(tasks)
-		if !ok {
-			// Legitimate only if the trace genuinely ended.
-			return eng.Ended()
-		}
-		if res.SegmentsRun != n {
-			return false
-		}
-		want := mcu.MSP432().ComputeEnergyMJ(totalFlops)
-		return res.EnergyMJ > want*0.95 && res.EnergyMJ < want*1.05
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -155,11 +155,6 @@ func (a *ExitAgent) State(energyMJ, powerMW float64) int {
 	return eb*a.PowerBins + pb
 }
 
-// SelectExit returns an ε-greedy exit for the observation.
-func (a *ExitAgent) SelectExit(energyMJ, powerMW float64, rng *tensor.RNG) int {
-	return a.Table.Select(a.State(energyMJ, powerMW), rng)
-}
-
 // IncrementalAgent makes the second §IV decision: given the confidence of
 // the result at the chosen exit and the energy left, continue to the next
 // exit (action 1) or emit the current result (action 0).
@@ -191,9 +186,4 @@ func (a *IncrementalAgent) State(confidence, energyMJ float64) int {
 	cb := Bin(confidence, 1, a.ConfidenceBins)
 	eb := Bin(energyMJ, a.MaxEnergyMJ, a.EnergyBins)
 	return cb*a.EnergyBins + eb
-}
-
-// Decide returns ActionContinue or ActionStop for the observation.
-func (a *IncrementalAgent) Decide(confidence, energyMJ float64, rng *tensor.RNG) int {
-	return a.Table.Select(a.State(confidence, energyMJ), rng)
 }
