@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/energy"
@@ -126,6 +125,21 @@ func (d *Deployed) CheckFits(dev *mcu.Device) error {
 	return nil
 }
 
+// EnergyCosts returns the energy (mJ) on dev of an inference to each
+// exit and of each one-step resume (exit i to i+1; the last is 0).
+func (d *Deployed) EnergyCosts(dev *mcu.Device) (exits, resumes []float64) {
+	m := len(d.ExitFLOPs)
+	exits = make([]float64, m)
+	resumes = make([]float64, m)
+	for i, f := range d.ExitFLOPs {
+		exits[i] = dev.ComputeEnergyMJ(f)
+		if i+1 < m {
+			resumes[i] = dev.ComputeEnergyMJ(d.Marginal[i][i+1])
+		}
+	}
+	return exits, resumes
+}
+
 // RuntimeConfig parameterizes a simulation run.
 type RuntimeConfig struct {
 	Mode PolicyMode
@@ -134,12 +148,12 @@ type RuntimeConfig struct {
 	// Storage defaults to energy.DefaultStorage().
 	Storage *energy.Storage
 	// ConfidenceThreshold is the static incremental-inference threshold
-	// (default 0.65).
+	// (default DefaultConfidenceThreshold).
 	ConfidenceThreshold float64
 	// DisableIncremental turns off incremental inference (ablation).
 	DisableIncremental bool
 	// EnergyBins/PowerBins/ConfBins discretize the Q-state (defaults
-	// 10/6/8).
+	// DefaultEnergyBins/DefaultPowerBins/DefaultConfBins).
 	EnergyBins int
 	PowerBins  int
 	ConfBins   int
@@ -158,16 +172,6 @@ type RuntimeConfig struct {
 	// evaluation data into the quantization scales, so pass training or
 	// held-out samples when reporting int8 accuracy.
 	Calibration []*tensor.Tensor
-	// PowerWindow is the trailing window (s) for the charging-efficiency
-	// observation (default 60).
-	PowerWindow int
-	// IncrementalEnergyPenalty shapes the continue-action reward:
-	// r(continue) = correctness − penalty·(marginalCost/capacity). The
-	// paper specifies the incremental decision's state (confidence,
-	// energy) but not its reward; without an energy term the learner
-	// degenerates to "always continue" since deeper exits are never
-	// less accurate. Default 0.6.
-	IncrementalEnergyPenalty float64
 	// SkipFitCheck bypasses the storage-fit check (for deliberately
 	// oversized ablations).
 	SkipFitCheck bool
@@ -181,22 +185,16 @@ func (c *RuntimeConfig) fillDefaults() {
 		c.Storage = energy.DefaultStorage()
 	}
 	if c.ConfidenceThreshold == 0 {
-		c.ConfidenceThreshold = 0.65
+		c.ConfidenceThreshold = DefaultConfidenceThreshold
 	}
 	if c.EnergyBins == 0 {
-		c.EnergyBins = 10
+		c.EnergyBins = DefaultEnergyBins
 	}
 	if c.PowerBins == 0 {
-		c.PowerBins = 6
+		c.PowerBins = DefaultPowerBins
 	}
 	if c.ConfBins == 0 {
-		c.ConfBins = 8
-	}
-	if c.PowerWindow == 0 {
-		c.PowerWindow = 60
-	}
-	if c.IncrementalEnergyPenalty == 0 {
-		c.IncrementalEnergyPenalty = 0.6
+		c.ConfBins = DefaultConfBins
 	}
 }
 
@@ -204,54 +202,14 @@ func (c *RuntimeConfig) fillDefaults() {
 // Q-tables persist across Run calls, so successive runs implement the
 // learning episodes of Fig. 7a.
 type Runtime struct {
-	cfg      RuntimeConfig
-	deployed *Deployed
+	cfg RuntimeConfig
+	ep  Episode
 
-	exitAgent *qlearn.ExitAgent
-	incrAgent *qlearn.IncrementalAgent
-	static    *qlearn.StaticLUT
-	rng       *tensor.RNG
-
-	// costs[i] is the energy cost of exit i on the configured device —
-	// computed once here, reused by every Run.
-	costs []float64
-
-	// exec/planState drive empirical-mode inference on the compiled plan
-	// (nil on the legacy backend, or when the deployment cannot be
-	// compiled and the runtime fell back to the layer walk). One State is
-	// reused across all events; the plan arena makes the inference path
-	// allocation-free.
-	exec      *plan.Exec
-	planState *plan.State
-
-	// lastTrace/lastPeak memoize tracePeak across Runs: learning loops
-	// re-run the same trace dozens of times, and the peak is a pure
-	// function of the trace.
+	// lastTrace/lastPeak memoize the trace peak across Runs: learning
+	// loops re-run the same trace dozens of times, and the peak is a
+	// pure function of the trace.
 	lastTrace *energy.Trace
 	lastPeak  float64
-
-	// pending is the exit-agent transition awaiting its successor state,
-	// which is only observed at the next event (the event-level MDP's
-	// true transition). Held by value — re-boxing it per event was the
-	// episode loop's dominant allocation.
-	pending    pendingUpdate
-	hasPending bool
-}
-
-type pendingUpdate struct {
-	state  int
-	action int
-	reward float64
-}
-
-// queueExitUpdate stages the exit agent's transition until the successor
-// state is observed at the next event.
-func (r *Runtime) queueExitUpdate(state, action int, reward float64) {
-	if r.cfg.Mode != PolicyQLearning {
-		return
-	}
-	r.pending = pendingUpdate{state: state, action: action, reward: reward}
-	r.hasPending = true
 }
 
 // NewRuntime builds a runtime for the deployment.
@@ -262,16 +220,16 @@ func NewRuntime(d *Deployed, cfg RuntimeConfig) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	costs := make([]float64, len(d.ExitFLOPs))
-	for i, f := range d.ExitFLOPs {
-		costs[i] = cfg.Device.ComputeEnergyMJ(f)
-	}
-	r := &Runtime{
-		cfg:      cfg,
-		deployed: d,
-		static:   qlearn.NewStaticLUT(costs, cfg.ConfidenceThreshold),
-		rng:      tensor.NewRNG(cfg.Seed + 0xc0fe),
-		costs:    costs,
+	costs, margCosts := d.EnergyCosts(cfg.Device)
+	r := &Runtime{cfg: cfg}
+	r.ep = Episode{
+		Mode:               cfg.Mode,
+		DisableIncremental: cfg.DisableIncremental,
+		Deployed:           d,
+		Costs:              costs,
+		MargCosts:          margCosts,
+		Static:             qlearn.NewStaticLUT(costs, cfg.ConfidenceThreshold),
+		RNG:                tensor.NewRNG(cfg.Seed + 0xc0fe),
 	}
 	if cfg.Backend == BackendDefault {
 		// No explicit choice anywhere up the stack: the deployment's own
@@ -294,28 +252,20 @@ func NewRuntime(d *Deployed, cfg RuntimeConfig) (*Runtime, error) {
 			if perr != nil {
 				return nil, fmt.Errorf("core: %s backend unavailable for this deployment: %w", cfg.Backend, perr)
 			}
-			r.exec = p.NewExec()
-			r.planState = p.NewState()
+			r.ep.Plan = p.NewExec()
+			r.ep.PlanState = p.NewState()
 		} else if p, perr := d.FloatPlan(); perr == nil {
 			// The float plan is bit-identical to the layer walk, so a
 			// deployment that cannot compile (exotic architecture)
 			// falls back to the walk — same results, just slower.
-			r.exec = p.NewExec()
-			r.planState = p.NewState()
+			r.ep.Plan = p.NewExec()
+			r.ep.PlanState = p.NewState()
 		}
 	}
 	const maxPowerInit = 0.05 // mW; rebinned per-run from the trace peak
-	r.exitAgent = qlearn.NewExitAgent(len(costs), cfg.EnergyBins, cfg.PowerBins, cfg.Storage.CapacityMJ, maxPowerInit)
-	r.incrAgent = qlearn.NewIncrementalAgent(cfg.ConfBins, cfg.EnergyBins, cfg.Storage.CapacityMJ)
-	// Start from an uninformed policy: small random Q-values make the
-	// initial exit preferences arbitrary (Fig. 7a's learning curve
-	// starts well below the converged value), and learning overwrites
-	// them within a few episodes.
-	for s := 0; s < r.exitAgent.Table.NumStates; s++ {
-		for a := 0; a < r.exitAgent.Table.NumActions; a++ {
-			r.exitAgent.Table.SetQ(s, a, 0.05*r.rng.Float64())
-		}
-	}
+	r.ep.ExitAgent = qlearn.NewExitAgent(len(costs), cfg.EnergyBins, cfg.PowerBins, cfg.Storage.CapacityMJ, maxPowerInit)
+	r.ep.IncrAgent = qlearn.NewIncrementalAgent(cfg.ConfBins, cfg.EnergyBins, cfg.Storage.CapacityMJ)
+	SeedExitQ(r.ep.ExitAgent.Table, r.ep.RNG)
 	return r, nil
 }
 
@@ -335,81 +285,22 @@ func calibrationSamples(set *dataset.Set, n int) []*tensor.Tensor {
 // Backend reports the effective inference backend: the configured one,
 // downgraded to legacy when no plan could be compiled.
 func (r *Runtime) Backend() InferBackend {
-	if r.cfg.TestSet != nil && r.exec == nil {
+	if r.cfg.TestSet != nil && r.ep.Plan == nil {
 		return BackendLegacy
 	}
 	return r.cfg.Backend
 }
 
 // ExitAgent exposes the exit Q-learner (tests and diagnostics).
-func (r *Runtime) ExitAgent() *qlearn.ExitAgent { return r.exitAgent }
+func (r *Runtime) ExitAgent() *qlearn.ExitAgent { return r.ep.ExitAgent }
 
 // IncrementalAgent exposes the incremental Q-learner.
-func (r *Runtime) IncrementalAgent() *qlearn.IncrementalAgent { return r.incrAgent }
+func (r *Runtime) IncrementalAgent() *qlearn.IncrementalAgent { return r.ep.IncrAgent }
 
 // SetExploration sets ε on both Q-tables (0 for greedy evaluation).
 func (r *Runtime) SetExploration(eps float64) {
-	r.exitAgent.Table.Epsilon = eps
-	r.incrAgent.Table.Epsilon = eps
-}
-
-// eventCtx carries the per-event surrogate or empirical inference state.
-// The runtime reuses one value across all events of a Run.
-type eventCtx struct {
-	// u is the surrogate difficulty draw.
-	u float64
-	// sample/state for empirical mode.
-	sample *dataset.Sample
-	state  *multiexit.State
-	label  int
-	// planStarted marks the runtime's reusable plan state as holding
-	// this event's inference.
-	planStarted bool
-}
-
-// correctAt reports whether the event's result at the given exit is
-// correct, and the confidence of that result.
-//
-//ehlint:hotpath
-func (r *Runtime) correctAt(ctx *eventCtx, exit int) (bool, float64) {
-	if r.cfg.TestSet != nil && ctx.sample != nil {
-		if r.exec != nil {
-			// Compiled backend: zero-allocation InferTo/Resume on the
-			// runtime's pooled plan state.
-			if !ctx.planStarted {
-				r.exec.InferTo(r.planState, ctx.sample.Image, exit)
-				ctx.planStarted = true
-			} else if exit > r.planState.Exit {
-				r.exec.Resume(r.planState, exit)
-			}
-			return r.planState.Predicted() == ctx.label, r.planState.Confidence()
-		}
-		if ctx.state == nil {
-			ctx.state = r.deployed.Net.InferTo(ctx.sample.Image, exit)
-		} else if exit > ctx.state.Exit {
-			ctx.state = r.deployed.Net.Resume(ctx.state, exit)
-		}
-		return ctx.state.Predicted() == ctx.label, ctx.state.Confidence()
-	}
-	acc := r.deployed.ExitAccs[exit]
-	correct := ctx.u < acc
-	// Confidence correlates with the margin between difficulty and the
-	// exit's capability, mirroring entropy at a real classifier head:
-	// easy events (u ≪ acc) are confident, borderline ones are not.
-	var conf float64
-	if correct {
-		conf = 0.55 + 0.45*(acc-ctx.u)/math.Max(acc, 1e-9)
-	} else {
-		conf = 0.55 - 0.35*(ctx.u-acc)/math.Max(1-acc, 1e-9)
-	}
-	conf += 0.05 * r.rng.NormFloat64()
-	if conf < 0 {
-		conf = 0
-	}
-	if conf > 1 {
-		conf = 1
-	}
-	return correct, conf
+	r.ep.ExitAgent.Table.Epsilon = eps
+	r.ep.IncrAgent.Table.Epsilon = eps
 }
 
 // Run simulates one pass of the schedule over the trace and returns the
@@ -422,198 +313,34 @@ func (r *Runtime) Run(trace *energy.Trace, schedule *energy.Schedule) (*metrics.
 	}
 	// Rebin the power observation to the trace's scale.
 	if trace != r.lastTrace {
-		r.lastTrace, r.lastPeak = trace, tracePeak(trace)
+		r.lastTrace, r.lastPeak = trace, trace.Peak()
 	}
 	if p := r.lastPeak; p > 0 {
-		r.exitAgent.MaxPowerMW = p
-	}
-
-	// Exit costs depend only on the configured device, so they were
-	// computed once in NewRuntime (engine.EnergyFor would yield the
-	// identical values).
-	m := r.deployed.Net.NumExits()
-	costs := r.costs
-	report := &metrics.Report{
-		System:   "multi-exit/" + r.cfg.Mode.String(),
-		NumExits: m,
+		r.ep.ExitAgent.MaxPowerMW = p
 	}
 
 	events := schedule.Events
-	report.Outcomes = make([]metrics.EventOutcome, 0, len(events))
-	// One context serves every event; the per-event reset below replaces
-	// the old allocate-per-event pattern (~1 heap alloc per event).
-	var ctx eventCtx
+	report := &metrics.Report{
+		System:   "multi-exit/" + r.cfg.Mode.String(),
+		NumExits: len(r.ep.Costs),
+		Outcomes: make([]metrics.EventOutcome, len(events)),
+	}
 	for idx, ev := range events {
-		deadline := float64(trace.Duration())
+		deadline := trace.Duration()
 		if idx+1 < len(events) {
-			deadline = float64(events[idx+1].T)
+			deadline = events[idx+1].T
 		}
-		outcome := metrics.EventOutcome{T: ev.T, Exit: -1}
-
-		if engine.Now() > float64(ev.T) {
-			// Device still busy with the previous event. The miss is the
-			// previous decisions' fault: zero out the pending exit
-			// reward and charge the last continue decision.
-			report.Outcomes = append(report.Outcomes, outcome)
-			continue
-		}
-		engine.AdvanceTo(float64(ev.T))
-
-		ctx = eventCtx{u: r.rng.Float64(), label: ev.Class}
+		var sample *dataset.Sample
 		if r.cfg.TestSet != nil {
 			if ev.SampleIndex < 0 || ev.SampleIndex >= r.cfg.TestSet.Len() {
 				return nil, fmt.Errorf("core: event %d has no sample attached for empirical mode", idx)
 			}
-			ctx.sample = &r.cfg.TestSet.Samples[ev.SampleIndex]
-			ctx.label = ctx.sample.Label
+			sample = &r.cfg.TestSet.Samples[ev.SampleIndex]
 		}
-
-		r.handleEvent(engine, &ctx, costs, deadline, &outcome)
-		report.Outcomes = append(report.Outcomes, outcome)
+		out := &report.Outcomes[idx]
+		r.ep.Event(engine, ev.T, deadline, sample, out, &out.EnergyMJ)
 	}
-	// Flush the final event's pending Q-update (episode boundary).
-	if r.hasPending {
-		r.exitAgent.Table.UpdateTerminal(r.pending.state, r.pending.action, r.pending.reward)
-		r.hasPending = false
-	}
-	// Drain the rest of the trace so harvested-energy accounting covers
-	// the full duration (IEpmJ divides by total trace energy).
-	engine.AdvanceTo(float64(trace.Duration()))
+	r.ep.End(engine)
 	report.HarvestedMJ = engine.Stats().HarvestedMJ
 	return report, nil
-}
-
-// boolReward maps a correctness bit to the paper's 0/1 reward signal.
-func boolReward(c bool) float64 {
-	if c {
-		return 1
-	}
-	return 0
-}
-
-// handleEvent implements the two sequential decisions of §IV.
-//
-//ehlint:hotpath
-func (r *Runtime) handleEvent(engine *intermittent.Engine, ctx *eventCtx, costs []float64, deadline float64, outcome *metrics.EventOutcome) {
-	store := engine.Store
-	m := len(costs)
-
-	obsEnergy := store.Available()
-	obsPower := engine.RecentPower(r.cfg.PowerWindow)
-	state := r.exitAgent.State(obsEnergy, obsPower)
-
-	// Complete the previous event's Q-update now that its successor
-	// state (this event's state) is known.
-	if r.hasPending {
-		r.exitAgent.Table.Update(r.pending.state, r.pending.action, r.pending.reward, state)
-		r.hasPending = false
-	}
-
-	// Decision 1: select the exit. The action is capped at the deepest
-	// exit the current buffer supports (§IV: exits are selected from
-	// what "current energy can support"); the Q-agent's leverage is
-	// choosing a *cheaper* exit than affordable to reserve energy for
-	// future events. If nothing is affordable, the device waits for the
-	// cheapest exit, preempted by the next event.
-	var chosen int
-	if r.cfg.Mode == PolicyQLearning {
-		chosen = r.exitAgent.Table.Select(state, r.rng)
-	} else {
-		chosen = r.static.SelectExit(obsEnergy)
-		if chosen < 0 {
-			// A fixed LUT has no wait action: with no affordable exit
-			// the event is missed — exactly the §IV failure mode the
-			// adaptive runtime fixes (and why Fig. 7b's static policy
-			// processes fewer events than Q-learning).
-			return
-		}
-	}
-	exit := chosen
-	for exit > 0 && store.Available() < costs[exit] {
-		exit--
-	}
-
-	// Wait for the cheapest exit if even that is unaffordable.
-	if store.Available() < costs[exit] {
-		if !engine.WaitForEnergy(costs[exit], deadline) {
-			r.queueExitUpdate(state, chosen, 0) // missed: no energy arrived in time
-			return
-		}
-	}
-	res, ok := engine.RunAtomic(r.deployed.ExitFLOPs[exit])
-	if !ok {
-		r.queueExitUpdate(state, chosen, 0)
-		return
-	}
-	correct, conf := r.correctAt(ctx, exit)
-	outcome.Processed = true
-	outcome.Exit = exit
-	outcome.EnergyMJ = res.EnergyMJ
-	outcome.InferenceFLOPs = r.deployed.ExitFLOPs[exit]
-	outcome.FinishSec = res.FinishedAt
-
-	// Exit-agent update: reward is the selected exit's accuracy (§IV).
-	r.queueExitUpdate(state, chosen, r.deployed.ExitAccs[exit])
-
-	// Decision 2: incremental inference toward deeper exits.
-	for exit < m-1 && !r.cfg.DisableIncremental {
-		marginal := r.deployed.Marginal[exit][exit+1]
-		margCost := engine.EnergyFor(marginal)
-		incrState := r.incrAgent.State(conf, store.Available())
-		var goOn bool
-		if r.cfg.Mode == PolicyQLearning {
-			goOn = r.incrAgent.Table.Select(incrState, r.rng) == qlearn.ActionContinue
-		} else {
-			goOn = r.static.Continue(conf, margCost, store.Available())
-		}
-		// Continuing pays an energy opportunity cost (see
-		// IncrementalEnergyPenalty): refining this result spends budget
-		// future events will need.
-		continuePenalty := r.cfg.IncrementalEnergyPenalty * margCost / r.cfg.Storage.CapacityMJ
-		if !goOn {
-			if r.cfg.Mode == PolicyQLearning {
-				r.incrAgent.Table.UpdateTerminal(incrState, qlearn.ActionStop, boolReward(correct))
-			}
-			break
-		}
-		if store.Available() < margCost {
-			// Suspending across a charging period checkpoints the
-			// inference state (the paper's State → FRAM write) and pays
-			// a restore before resuming.
-			if !engine.WaitForEnergy(margCost, deadline) {
-				// Energy never arrived; emit the current result.
-				if r.cfg.Mode == PolicyQLearning {
-					r.incrAgent.Table.UpdateTerminal(incrState, qlearn.ActionContinue, boolReward(correct)-continuePenalty)
-				}
-				break
-			}
-		}
-		res, ok := engine.RunAtomic(marginal)
-		if !ok {
-			break
-		}
-		exit++
-		correct, conf = r.correctAt(ctx, exit)
-		outcome.Exit = exit
-		outcome.Incremental = true
-		outcome.EnergyMJ += res.EnergyMJ
-		outcome.InferenceFLOPs += marginal
-		outcome.FinishSec = res.FinishedAt
-		if r.cfg.Mode == PolicyQLearning {
-			nextState := r.incrAgent.State(conf, store.Available())
-			r.incrAgent.Table.Update(incrState, qlearn.ActionContinue, boolReward(correct)-continuePenalty, nextState)
-		}
-	}
-	outcome.Correct = correct
-}
-
-// tracePeak returns the maximum power of the trace for state binning.
-func tracePeak(t *energy.Trace) float64 {
-	var max float64
-	for _, p := range t.Power {
-		if p > max {
-			max = p
-		}
-	}
-	return max
 }

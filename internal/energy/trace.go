@@ -27,6 +27,17 @@ type Trace struct {
 // Duration returns the trace length in seconds.
 func (t *Trace) Duration() int { return len(t.Power) }
 
+// Peak returns the trace's maximum power (mW).
+func (t *Trace) Peak() float64 {
+	var peak float64
+	for _, p := range t.Power {
+		if p > peak {
+			peak = p
+		}
+	}
+	return peak
+}
+
 // TotalEnergy returns the total harvestable energy (mJ) over the trace.
 func (t *Trace) TotalEnergy() float64 {
 	var e float64

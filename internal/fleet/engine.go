@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -13,21 +12,16 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exper"
 	"repro/internal/intermittent"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/qlearn"
 	"repro/internal/tensor"
 )
 
-// Runtime constants mirroring core.RuntimeConfig's defaults — the fleet
-// engine runs the same §IV decision loop, so the same shaping applies.
-const (
-	powerWindow       = 60
-	incrEnergyPenalty = 0.6
-	// chunkDevices is the shard granularity: small enough to balance
-	// load across workers, large enough that per-chunk setup (table
-	// headers, scratch growth) amortizes away.
-	chunkDevices = 1024
-)
+// chunkDevices is the shard granularity: small enough to balance load
+// across workers, large enough that per-chunk setup (table headers,
+// scratch growth) amortizes away.
+const chunkDevices = 1024
 
 // Engine shards a fleet's devices across workers and runs them through
 // the learning epochs. Devices are independent within an epoch and all
@@ -198,8 +192,8 @@ type arena struct {
 	// headers onto sub-slices.
 	exitQ []float64
 	incrQ []float64
-	// rngs are the per-device policy/surrogate streams (the same stream
-	// core.NewRuntime seeds per runtime, carried across epochs).
+	// rngs are the per-device policy/surrogate streams, carried across
+	// epochs.
 	rngs []tensor.RNG
 	// variants[i] is the device's trace-pool index.
 	variants []int32
@@ -214,11 +208,10 @@ type arena struct {
 }
 
 // newArena packs a population's device state and initializes each
-// device exactly as core.NewRuntime would: the policy RNG seeded from
-// the device's identity, exit-Q cells filled with small uninformed
-// values from that stream, incremental Q zeroed. Initialization is
-// sharded too (it is pure per-device work), so million-device fleets
-// spin up on all cores.
+// device: the policy RNG seeded from the device's identity, the exit
+// Q-table seeded from that stream by core.SeedExitQ, incremental Q
+// zeroed. Initialization is sharded too (it is pure per-device work),
+// so million-device fleets spin up on all cores.
 func newArena(f *Fleet, p *Population, workers int) *arena {
 	m := len(p.Costs)
 	a := &arena{
@@ -245,15 +238,14 @@ func newArena(f *Fleet, p *Population, workers int) *arena {
 		go func(lo, hi int) {
 			defer wg.Done()
 			variants := uint64(len(p.Traces))
+			exitTab := qlearn.Table{NumStates: p.EnergyBins * p.PowerBins, NumActions: m}
 			for di := lo; di < hi; di++ {
 				gidx := uint64(p.Start + di)
 				a.variants[di] = int32(exper.DeriveSeed(f.BaseSeed, gidx, saltTrace) % variants)
 				rng := &a.rngs[di]
 				rng.Reseed(exper.DeriveSeed(f.BaseSeed, gidx, saltDevice))
-				q := a.exitQ[di*p.exitStride : (di+1)*p.exitStride]
-				for i := range q {
-					q[i] = 0.05 * rng.Float64()
-				}
+				exitTab.Bind(a.exitQ[di*p.exitStride : (di+1)*p.exitStride])
+				core.SeedExitQ(&exitTab, rng)
 			}
 		}(lo, hi)
 	}
@@ -297,14 +289,16 @@ func (a *arena) zeroIntervals() {
 }
 
 // worker owns everything one shard goroutine reuses across devices:
-// the intermittent engine, the storage copy, the Q-table headers the
-// arena slices bind onto, and the schedule scratch. All values — a
-// worker is a single stack-ish block that touches the heap only through
-// the arenas and the shared read-only population state.
+// the intermittent engine, the storage copy, the episode kernel and the
+// Q-table headers it binds onto arena slices, and the schedule scratch.
+// All values — a worker is a single stack-ish block that touches the
+// heap only through the arenas and the shared read-only population
+// state.
 type worker struct {
 	f     *Fleet
 	eng   intermittent.Engine
 	store energy.Storage
+	ep    core.Episode
 
 	exitTab   qlearn.Table
 	incrTab   qlearn.Table
@@ -323,25 +317,9 @@ type worker struct {
 	states []*plan.State
 }
 
-// pendingUpdate is the exit-agent transition awaiting its successor
-// state, exactly core.Runtime's pending value.
-type pendingUpdate struct {
-	state  int
-	action int
-	reward float64
-}
-
-// evCtx carries one event's surrogate draw or empirical sample.
-type evCtx struct {
-	u       float64
-	label   int
-	sample  *dataset.Sample
-	pi      int
-	started bool
-}
-
 // runChunk runs one shard: per-population setup (table headers, agent
-// views, scratch sizing), then the device loop with churn applied.
+// views, the episode kernel, scratch sizing), then the device loop with
+// churn applied.
 func (w *worker) runChunk(jb job) {
 	p := jb.p
 	f := w.f
@@ -363,6 +341,11 @@ func (w *worker) runChunk(jb job) {
 		Table: &w.incrTab, ConfidenceBins: p.ConfBins, EnergyBins: p.EnergyBins,
 		MaxEnergyMJ: p.Storage.CapacityMJ,
 	}
+	w.ep = core.Episode{
+		Mode: p.Mode, Deployed: p.Deployed,
+		Costs: p.Costs, MargCosts: p.MargCosts, Static: p.Static,
+		ExitAgent: &w.exitAgent, IncrAgent: &w.incrAgent,
+	}
 	if cap(w.times) < f.Events {
 		w.times = make([]int, 0, f.Events)
 	}
@@ -375,6 +358,7 @@ func (w *worker) runChunk(jb job) {
 			w.execs[p.Index] = p.Plan.NewExec()
 			w.states[p.Index] = p.Plan.NewState()
 		}
+		w.ep.Plan, w.ep.PlanState = w.execs[p.Index], w.states[p.Index]
 		if cap(w.samples) < f.Events {
 			w.samples = make([]int, 0, f.Events)
 		}
@@ -392,17 +376,17 @@ func (w *worker) runChunk(jb job) {
 }
 
 // runEpisode replays one device's event schedule over its trace for one
-// epoch — the fleet port of core.Runtime.Run + handleEvent, decision for
-// decision, with the device's Q-state bound in from the arena. This is
-// the fleet's innermost loop: it must not allocate.
+// epoch through the worker's episode kernel, with the device's RNG and
+// Q-tables bound in from the arena. This is the fleet's innermost loop:
+// it must not allocate.
 //
 //ehlint:hotpath
 func (w *worker) runEpisode(p *Population, a *arena, di int, gidx uint64, capFactor float64) {
 	f := w.f
 
-	// Fresh storage copy per episode (as core copies per Run), with any
-	// churn-rule capacitor degradation applied. Binning stays on the
-	// base capacity so a degraded device's Q-state indices keep meaning.
+	// Fresh storage copy per episode, with any churn-rule capacitor
+	// degradation applied. Binning stays on the base capacity so a
+	// degraded device's Q-state indices keep meaning.
 	w.store = p.Storage
 	if capFactor < 1 {
 		c := p.Storage.CapacityMJ * capFactor
@@ -418,7 +402,7 @@ func (w *worker) runEpisode(p *Population, a *arena, di int, gidx uint64, capFac
 
 	w.exitTab.Bind(a.exitQ[di*p.exitStride : (di+1)*p.exitStride])
 	w.incrTab.Bind(a.incrQ[di*p.incrStride : (di+1)*p.incrStride])
-	rng := &a.rngs[di]
+	w.ep.RNG = &a.rngs[di]
 
 	// Regenerate the device's schedule (identical every epoch — the
 	// learning episodes replay one schedule, as the paper's Fig. 7a
@@ -438,176 +422,33 @@ func (w *worker) runEpisode(p *Population, a *arena, di int, gidx uint64, capFac
 		}
 	}
 
-	var pend pendingUpdate
-	hasPending := false
-	var nEvents, nProcessed, nCorrect uint32
+	var out metrics.EventOutcome
+	var nProcessed, nCorrect uint32
 	var energyMJ float64
 	m := len(p.Costs)
-	deployed := p.Deployed
-	qmode := p.Mode == core.PolicyQLearning
-
 	for idx := 0; idx < f.Events; idx++ {
-		evT := float64(w.times[idx])
-		deadline := float64(dur)
+		deadline := dur
 		if idx+1 < f.Events {
-			deadline = float64(w.times[idx+1])
+			deadline = w.times[idx+1]
 		}
-		nEvents++
-		if w.eng.Now() > evT {
-			// Still busy with the previous event: missed.
-			continue
-		}
-		w.eng.AdvanceTo(evT)
-
-		c := evCtx{u: rng.Float64(), label: idx % f.EventClasses, pi: p.Index}
+		var sample *dataset.Sample
 		if p.Empirical {
-			c.sample = &f.TestSet.Samples[w.samples[idx]]
-			c.label = c.sample.Label
+			sample = &f.TestSet.Samples[w.samples[idx]]
 		}
-
-		obsEnergy := w.store.Available()
-		obsPower := w.eng.RecentPower(powerWindow)
-		state := w.exitAgent.State(obsEnergy, obsPower)
-		if hasPending {
-			w.exitTab.Update(pend.state, pend.action, pend.reward, state)
-			hasPending = false
-		}
-
-		// Decision 1: select the exit (§IV).
-		var chosen int
-		if qmode {
-			chosen = w.exitTab.Select(state, rng)
-		} else {
-			chosen = p.Static.SelectExit(obsEnergy)
-			if chosen < 0 {
-				continue // static policy has no wait action: missed
+		w.ep.Event(&w.eng, w.times[idx], deadline, sample, &out, &energyMJ)
+		if out.Processed {
+			nProcessed++
+			if out.Correct {
+				nCorrect++
 			}
+			a.exits[di*m+out.Exit]++
 		}
-		exit := chosen
-		for exit > 0 && w.store.Available() < p.Costs[exit] {
-			exit--
-		}
-		if w.store.Available() < p.Costs[exit] {
-			if !w.eng.WaitForEnergy(p.Costs[exit], deadline) {
-				if qmode {
-					pend = pendingUpdate{state: state, action: chosen}
-					hasPending = true
-				}
-				continue
-			}
-		}
-		res, ok := w.eng.RunAtomic(deployed.ExitFLOPs[exit])
-		if !ok {
-			if qmode {
-				pend = pendingUpdate{state: state, action: chosen}
-				hasPending = true
-			}
-			continue
-		}
-		correct, conf := w.correctAt(p, &c, exit, rng)
-		nProcessed++
-		energyMJ += res.EnergyMJ
-		if qmode {
-			pend = pendingUpdate{state: state, action: chosen, reward: deployed.ExitAccs[exit]}
-			hasPending = true
-		}
-
-		// Decision 2: incremental inference toward deeper exits.
-		for exit < m-1 {
-			margCost := p.MargCosts[exit]
-			incrState := w.incrAgent.State(conf, w.store.Available())
-			var goOn bool
-			if qmode {
-				goOn = w.incrTab.Select(incrState, rng) == qlearn.ActionContinue
-			} else {
-				goOn = p.Static.Continue(conf, margCost, w.store.Available())
-			}
-			continuePenalty := incrEnergyPenalty * margCost / p.Storage.CapacityMJ
-			if !goOn {
-				if qmode {
-					w.incrTab.UpdateTerminal(incrState, qlearn.ActionStop, boolReward(correct))
-				}
-				break
-			}
-			if w.store.Available() < margCost {
-				if !w.eng.WaitForEnergy(margCost, deadline) {
-					if qmode {
-						w.incrTab.UpdateTerminal(incrState, qlearn.ActionContinue, boolReward(correct)-continuePenalty)
-					}
-					break
-				}
-			}
-			res, ok := w.eng.RunAtomic(deployed.Marginal[exit][exit+1])
-			if !ok {
-				break
-			}
-			exit++
-			correct, conf = w.correctAt(p, &c, exit, rng)
-			energyMJ += res.EnergyMJ
-			if qmode {
-				nextState := w.incrAgent.State(conf, w.store.Available())
-				w.incrTab.Update(incrState, qlearn.ActionContinue, boolReward(correct)-continuePenalty, nextState)
-			}
-		}
-		if correct {
-			nCorrect++
-		}
-		a.exits[di*m+exit]++
 	}
-	// Episode boundary: flush the final pending exit update and drain
-	// the rest of the trace so harvest accounting covers the full
-	// duration.
-	if hasPending {
-		w.exitTab.UpdateTerminal(pend.state, pend.action, pend.reward)
-	}
-	w.eng.AdvanceTo(float64(dur))
+	w.ep.End(&w.eng)
 
-	a.events[di] += nEvents
+	a.events[di] += uint32(f.Events)
 	a.processed[di] += nProcessed
 	a.correct[di] += nCorrect
 	a.energyMJ[di] += energyMJ
 	a.harvestMJ[di] += w.eng.Stats().HarvestedMJ
-}
-
-// correctAt mirrors core.Runtime.correctAt: empirical populations run
-// the shared compiled plan (InferTo once, Resume for deeper exits);
-// surrogate populations draw correctness from the per-exit accuracies
-// via the event's difficulty u, with confidence shaped by the margin.
-//
-//ehlint:hotpath
-func (w *worker) correctAt(p *Population, c *evCtx, exit int, rng *tensor.RNG) (bool, float64) {
-	if p.Empirical && c.sample != nil {
-		exec, st := w.execs[c.pi], w.states[c.pi]
-		if !c.started {
-			exec.InferTo(st, c.sample.Image, exit)
-			c.started = true
-		} else if exit > st.Exit {
-			exec.Resume(st, exit)
-		}
-		return st.Predicted() == c.label, st.Confidence()
-	}
-	acc := p.Deployed.ExitAccs[exit]
-	correct := c.u < acc
-	var conf float64
-	if correct {
-		conf = 0.55 + 0.45*(acc-c.u)/math.Max(acc, 1e-9)
-	} else {
-		conf = 0.55 - 0.35*(c.u-acc)/math.Max(1-acc, 1e-9)
-	}
-	conf += 0.05 * rng.NormFloat64()
-	if conf < 0 {
-		conf = 0
-	}
-	if conf > 1 {
-		conf = 1
-	}
-	return correct, conf
-}
-
-// boolReward maps a correctness bit to the paper's 0/1 reward.
-func boolReward(c bool) float64 {
-	if c {
-		return 1
-	}
-	return 0
 }

@@ -45,8 +45,6 @@ const (
 	defaultTraceSeconds  = 3600
 	defaultTracePeakMW   = 0.032
 	defaultSamples       = 128
-	// confThreshold is core's static incremental-inference threshold.
-	confThreshold = 0.65
 	// maxDevices bounds a submitted fleet: the arena for a million
 	// default-binned devices is ~3 GB, and anything past this is a spec
 	// error, not a workload.
@@ -323,12 +321,12 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 		Deployed:   deployed,
 		Storage:    storage,
 		Mode:       ps.Exit.Mode,
-		Alpha:      defaultOr(ps.Alpha, 0.2),
-		Gamma:      defaultOr(ps.Gamma, 0.9),
+		Alpha:      defaultOr(ps.Alpha, qlearn.DefaultAlpha),
+		Gamma:      defaultOr(ps.Gamma, qlearn.DefaultGamma),
 		Epsilon:    ps.Epsilon,
-		EnergyBins: defaultIntOr(ps.EnergyBins, 10),
-		PowerBins:  defaultIntOr(ps.PowerBins, 6),
-		ConfBins:   defaultIntOr(ps.ConfBins, 8),
+		EnergyBins: defaultIntOr(ps.EnergyBins, core.DefaultEnergyBins),
+		PowerBins:  defaultIntOr(ps.PowerBins, core.DefaultPowerBins),
+		ConfBins:   defaultIntOr(ps.ConfBins, core.DefaultConfBins),
 		Empirical:  ps.Empirical,
 		Churn:      ps.Churn,
 	}
@@ -351,18 +349,11 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 		}
 	}
 
-	// Per-exit energy tables, computed once per population (the step
-	// loop's replacements for engine.EnergyFor calls).
-	m := len(deployed.ExitFLOPs)
-	p.Costs = make([]float64, m)
-	for i, fl := range deployed.ExitFLOPs {
-		p.Costs[i] = device.ComputeEnergyMJ(fl)
-	}
-	p.MargCosts = make([]float64, m)
-	for i := 0; i+1 < m; i++ {
-		p.MargCosts[i] = device.ComputeEnergyMJ(deployed.Marginal[i][i+1])
-	}
-	p.Static = qlearn.NewStaticLUT(p.Costs, confThreshold)
+	// Per-exit energy tables, computed once per population and shared
+	// by every worker's episode kernel.
+	p.Costs, p.MargCosts = deployed.EnergyCosts(device)
+	p.Static = qlearn.NewStaticLUT(p.Costs, core.DefaultConfidenceThreshold)
+	m := len(p.Costs)
 	p.exitStride = p.EnergyBins * p.PowerBins * m
 	p.incrStride = p.ConfBins * p.EnergyBins * 2
 
@@ -402,7 +393,7 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 			return nil, fmt.Errorf("fleet: population %q trace %q is empty", name, ts.Name)
 		}
 		p.Traces[v] = tr
-		p.TracePeaks[v] = tracePeak(tr)
+		p.TracePeaks[v] = tr.Peak()
 	}
 	return p, nil
 }
@@ -419,17 +410,6 @@ func defaultIntOr(v, d int) int {
 		return d
 	}
 	return v
-}
-
-// tracePeak returns the trace's maximum power for Q-state binning.
-func tracePeak(t *energy.Trace) float64 {
-	var peak float64
-	for _, p := range t.Power {
-		if p > peak {
-			peak = p
-		}
-	}
-	return peak
 }
 
 // Fleet is a compiled, runnable fleet: shared read-only deployments and

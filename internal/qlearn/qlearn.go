@@ -136,11 +136,17 @@ type ExitAgent struct {
 	MaxPowerMW  float64
 }
 
+// The paper's lightweight learning rates, both agents' defaults.
+const (
+	DefaultAlpha = 0.2
+	DefaultGamma = 0.9
+)
+
 // NewExitAgent builds the exit-selection learner with the paper's
 // lightweight defaults: α=0.2, γ=0.9, ε=0.1.
 func NewExitAgent(exits, energyBins, powerBins int, maxEnergyMJ, maxPowerMW float64) *ExitAgent {
 	return &ExitAgent{
-		Table:       NewTable(energyBins*powerBins, exits, 0.2, 0.9, 0.1),
+		Table:       NewTable(energyBins*powerBins, exits, DefaultAlpha, DefaultGamma, 0.1),
 		EnergyBins:  energyBins,
 		PowerBins:   powerBins,
 		MaxEnergyMJ: maxEnergyMJ,
@@ -174,7 +180,7 @@ const (
 // NewIncrementalAgent builds the continue/stop learner.
 func NewIncrementalAgent(confidenceBins, energyBins int, maxEnergyMJ float64) *IncrementalAgent {
 	return &IncrementalAgent{
-		Table:          NewTable(confidenceBins*energyBins, 2, 0.2, 0.9, 0.1),
+		Table:          NewTable(confidenceBins*energyBins, 2, DefaultAlpha, DefaultGamma, 0.1),
 		ConfidenceBins: confidenceBins,
 		EnergyBins:     energyBins,
 		MaxEnergyMJ:    maxEnergyMJ,
