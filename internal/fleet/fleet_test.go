@@ -75,6 +75,17 @@ func TestSpecValidation(t *testing.T) {
 		{Populations: []PopulationSpec{{Count: 1, Churn: []ChurnSpec{{Kind: "meteor", Prob: 0.1}}}}},
 		{Populations: []PopulationSpec{{Count: 1, Churn: []ChurnSpec{{Kind: ChurnLeave, Prob: 1.5}}}}},
 		{Epochs: -1, Populations: []PopulationSpec{{Count: 1}}},
+		{Populations: []PopulationSpec{{Count: 1, EnergyBins: -1}}},
+		{Populations: []PopulationSpec{{Count: 1, PowerBins: -2}}},
+		{Populations: []PopulationSpec{{Count: 1, ConfBins: -1}}},
+		{Populations: []PopulationSpec{{Count: 1, EnergyBins: 1 << 40}}},
+		{Populations: []PopulationSpec{{Count: 3_000_000, EnergyBins: 20}}},
+		{Populations: []PopulationSpec{{Count: 2_000_000}, {Count: 1_000_000, ConfBins: 40}}},
+		{Populations: []PopulationSpec{{Count: 1, Alpha: -0.5}}},
+		{Populations: []PopulationSpec{{Count: 1, Alpha: 1.5}}},
+		{Populations: []PopulationSpec{{Count: 1, Gamma: 3}}},
+		{Populations: []PopulationSpec{{Count: 1, Epsilon: -0.1}}},
+		{Populations: []PopulationSpec{{Count: 1, Epsilon: 2}}},
 	}
 	for i := range bad {
 		if _, err := bad[i].Fleet(); err == nil {

@@ -219,6 +219,7 @@ func (s *Spec) Resolve(lookup func(name string) (exper.PolicySpec, bool)) (*Flee
 	}
 
 	start := 0
+	qDevices := 0.0 // the Q arenas' size, in default-binned devices
 	empirical := false
 	for pi := range s.Populations {
 		p, err := resolvePopulation(f, &s.Populations[pi], pi, start, lookup)
@@ -229,6 +230,13 @@ func (s *Spec) Resolve(lookup func(name string) (exper.PolicySpec, bool)) (*Flee
 		start += p.Count
 		if start > maxDevices {
 			return nil, fmt.Errorf("fleet: spec %q asks for more than %d devices", f.Name, maxDevices)
+		}
+		// More bins than the defaults shrink how many devices fit.
+		m := len(p.Costs)
+		qDevices += float64(p.Count) * qCells(p.EnergyBins, p.PowerBins, p.ConfBins, m) /
+			qCells(core.DefaultEnergyBins, core.DefaultPowerBins, core.DefaultConfBins, m)
+		if qDevices > maxDevices {
+			return nil, fmt.Errorf("fleet: population %q takes the fleet's Q-tables past what %d default-binned devices would use", p.Name, maxDevices)
 		}
 		empirical = empirical || p.Empirical
 	}
@@ -335,6 +343,17 @@ func resolvePopulation(f *Fleet, ps *PopulationSpec, pi, start int, lookup func(
 	default:
 		return nil, fmt.Errorf("fleet: population %q has unknown exit mode %d", name, int(p.Mode))
 	}
+	switch {
+	case p.EnergyBins < 1 || p.PowerBins < 1 || p.ConfBins < 1:
+		return nil, fmt.Errorf("fleet: population %q has energyBins/powerBins/confBins %d/%d/%d; each must be at least 1",
+			name, p.EnergyBins, p.PowerBins, p.ConfBins)
+	case !(p.Alpha > 0 && p.Alpha <= 1):
+		return nil, fmt.Errorf("fleet: population %q has alpha %g outside (0,1]", name, p.Alpha)
+	case !(p.Gamma >= 0 && p.Gamma <= 1):
+		return nil, fmt.Errorf("fleet: population %q has gamma %g outside [0,1]", name, p.Gamma)
+	case !(p.Epsilon >= 0 && p.Epsilon <= 1):
+		return nil, fmt.Errorf("fleet: population %q has epsilon %g outside [0,1]", name, p.Epsilon)
+	}
 	for ri, c := range ps.Churn {
 		switch c.Kind {
 		case ChurnLeave, ChurnJoin, ChurnDegrade:
@@ -410,6 +429,12 @@ func defaultIntOr(v, d int) int {
 		return d
 	}
 	return v
+}
+
+// qCells is the number of Q-values one device holds: its exit table
+// and its incremental table.
+func qCells(energyBins, powerBins, confBins, exits int) float64 {
+	return float64(energyBins)*float64(powerBins)*float64(exits) + float64(confBins)*float64(energyBins)*2
 }
 
 // Fleet is a compiled, runnable fleet: shared read-only deployments and

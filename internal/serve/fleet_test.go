@@ -240,6 +240,14 @@ func TestServeFleetBadSpecs(t *testing.T) {
 		fastFleetSpec + ` garbage`,
 		fastFleetSpec + `}`,
 		fastFleetSpec + `{"garbage": true}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"energyBins":-1}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"powerBins":-2}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"confBins":-1}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"energyBins":1099511627776}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"alpha":-0.5}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"gamma":3}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"epsilon":-0.1}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"epsilon":2}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
 		if err != nil {
