@@ -112,13 +112,15 @@
 //     describes populations of simulated intermittent devices (device
 //     model, capacitor, trace family, exit policy, RL hyperparameters,
 //     deterministic join/leave/degrade churn), and a sharded engine
-//     runs 10⁴–10⁶ of them through the fused episode loop with packed
-//     per-population state arenas — bit-identical at any worker count,
+//     runs 10⁴–10⁶ of them through core.Episode — the one §IV episode
+//     kernel, which core.Runtime drives too — with packed
+//     per-population state arenas, bit-identical at any worker count,
 //     resumable from journaled epoch snapshots (a SIGKILLed daemon
 //     reproduces an uninterrupted run's final document byte for byte),
 //     exposed as Session.RunFleet/StartFleet and served by ehserved
 //     under POST /v1/fleets with NDJSON snapshot streaming, a unified
-//     GET /v1/jobs listing, and per-fleet metric families;
+//     GET /v1/jobs listing, and per-fleet metric families; specs with
+//     out-of-range bins or learning rates are answered with 400;
 //
 //   - mechanical invariant enforcement (internal/lint, cmd/ehlint):
 //     five go/analysis-style analyzers — bitident (deterministic float

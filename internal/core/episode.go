@@ -62,7 +62,9 @@ type Episode struct {
 	DisableIncremental bool
 	Deployed           *Deployed
 	// Costs[i] is the energy (mJ) of an inference to exit i on the
-	// device; MargCosts[i] the energy of resuming from exit i to i+1.
+	// engine's device; MargCosts[i] the energy of resuming from exit i
+	// to i+1. Computed once (Deployed.EnergyCosts), they are the values
+	// Engine.EnergyFor would give.
 	Costs, MargCosts []float64
 	Static           *qlearn.StaticLUT
 	ExitAgent        *qlearn.ExitAgent
@@ -84,7 +86,8 @@ type Episode struct {
 
 	// The current event's inference: the surrogate difficulty draw u,
 	// or the empirical sample with its layer-walk state or a mark that
-	// PlanState holds its inference.
+	// PlanState holds its inference. Held here and reset per event, so
+	// that no event allocates.
 	u           float64
 	sample      *dataset.Sample
 	walk        *multiexit.State
@@ -206,7 +209,8 @@ func (e *Episode) Event(eng *intermittent.Engine, t, deadline int, sample *datas
 		}
 		// Continuing pays an energy opportunity cost (see
 		// incrEnergyPenalty): refining this result spends budget future
-		// events will need.
+		// events will need. The capacity is the agent's energy range, the
+		// undegraded one even when fleet churn has shrunk the capacitor.
 		continuePenalty := incrEnergyPenalty * margCost / e.IncrAgent.MaxEnergyMJ
 		if !goOn {
 			if e.Mode == PolicyQLearning {
@@ -265,6 +269,8 @@ func (e *Episode) End(eng *intermittent.Engine) {
 func (e *Episode) correctAt(exit int) (bool, float64) {
 	if s := e.sample; s != nil {
 		if e.Plan != nil {
+			// Compiled backend: zero-allocation InferTo/Resume on the
+			// reused plan state.
 			if !e.planStarted {
 				e.Plan.InferTo(e.PlanState, s.Image, exit)
 				e.planStarted = true

@@ -2,7 +2,8 @@
 // devices — 10⁴ to 10⁶ of them — as one first-class workload. Each
 // simulated device runs the paper's full online loop (event-driven exit
 // selection, incremental refinement, tabular Q-learning) against the
-// intermittent engine, but where core.Runtime carries one device's state
+// intermittent engine through core.Episode, the episode kernel
+// core.Runtime drives too. Where core.Runtime carries one device's state
 // in a heap of small objects, the fleet engine keeps every device's RL
 // policy state, RNG stream, and interval counters in packed per-
 // population arenas and shards the devices across workers. The episode
