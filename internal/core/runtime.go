@@ -322,7 +322,7 @@ func (r *Runtime) Run(trace *energy.Trace, schedule *energy.Schedule) (*metrics.
 	events := schedule.Events
 	report := &metrics.Report{
 		System:   "multi-exit/" + r.cfg.Mode.String(),
-		NumExits: len(r.ep.Costs),
+		NumExits: r.ep.Deployed.Net.NumExits(),
 		Outcomes: make([]metrics.EventOutcome, len(events)),
 	}
 	for idx, ev := range events {
