@@ -173,27 +173,29 @@ func (j *job) run(ctx context.Context, session *ehinfer.Session) {
 		j.mu.Unlock()
 	})
 
-	j.mu.Lock()
-	j.out = out
-	j.elapsed = time.Since(j.started)
+	elapsed := time.Since(j.started)
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
-		j.state = StateDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Classify by the run's own error, not ctx.Err(): a run that
 		// failed for a real reason in the same instant the context died
 		// must surface the failure, not masquerade as canceled.
-		j.state = StateCanceled
-		j.errMsg = err.Error()
+		state, errMsg = StateCanceled, err.Error()
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
+		state, errMsg = StateFailed, err.Error()
 	}
-	state := j.state
+	// Durability before acknowledgment for the outcome too: a client
+	// that sees the job finished finds its final document on disk, and
+	// retention never sees a finished job whose document is unwritten.
+	j.retireJournal(state, out.doc)
+
+	j.mu.Lock()
+	j.out = out
+	j.elapsed = elapsed
+	j.state, j.errMsg = state, errMsg
 	j.cond.Broadcast()
 	j.mu.Unlock()
-
-	j.retireJournal(state, out.doc)
 }
 
 // checkpoint journals one item line. A failing journal (disk fault)
@@ -213,7 +215,7 @@ func (j *job) checkpoint(line []byte) {
 }
 
 // retireJournal resolves the journal against the run's outcome. Called
-// once, from the run goroutine, after the terminal state is visible.
+// once, from the run goroutine, before the terminal state is visible.
 func (j *job) retireJournal(state JobState, doc []byte) {
 	if j.journal == nil {
 		return
