@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/compress"
@@ -215,6 +216,43 @@ func TestQLearningImprovesOverEpisodes(t *testing.T) {
 	}
 }
 
+// trained holds the LeNet-EE the empirical tests start from, trained
+// once per process on the easy SynthCIFAR variant (seed 21, 300/120
+// images, 4 epochs, seed 31): its parameter values and its test set.
+var trained struct {
+	once   sync.Once
+	params [][]float32
+	test   *dataset.Set
+	err    error
+}
+
+// trainedLeNetEE returns a fresh LeNet-EE holding the trained parameter
+// values, and the held-out set, which callers only read. Each call gets
+// its own network because the tests compress it in place.
+func trainedLeNetEE(t *testing.T) (*multiexit.Network, *dataset.Set) {
+	t.Helper()
+	trained.once.Do(func() {
+		cfg := dataset.SynthConfig{Seed: 21, NoiseStd: 0.03, Jitter: 0.05}
+		train, test := dataset.TrainTest(cfg, 300, 120)
+		net := multiexit.LeNetEE(tensor.NewRNG(31))
+		if _, trained.err = multiexit.Train(net, train, multiexit.TrainConfig{Epochs: 4, BatchSize: 25, Seed: 31}); trained.err != nil {
+			return
+		}
+		for _, p := range net.Params() {
+			trained.params = append(trained.params, append([]float32(nil), p.Value.Data...))
+		}
+		trained.test = test
+	})
+	if trained.err != nil {
+		t.Fatal(trained.err)
+	}
+	net := multiexit.LeNetEE(nil)
+	for i, p := range net.Params() {
+		copy(p.Value.Data, trained.params[i])
+	}
+	return net, trained.test
+}
+
 func TestEmpiricalModeRunsRealInference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical test skipped in -short")
@@ -224,12 +262,7 @@ func TestEmpiricalModeRunsRealInference(t *testing.T) {
 	// the quantization-aware fine-tuning the paper uses, so aggressive
 	// policies are evaluated via the surrogate instead), and run events
 	// with real samples.
-	cfg := dataset.SynthConfig{Seed: 21, NoiseStd: 0.03, Jitter: 0.05}
-	train, test := dataset.TrainTest(cfg, 300, 120)
-	net := multiexit.LeNetEE(tensor.NewRNG(31))
-	if _, err := multiexit.Train(net, train, multiexit.TrainConfig{Epochs: 4, BatchSize: 25, Seed: 31}); err != nil {
-		t.Fatal(err)
-	}
+	net, test := trainedLeNetEE(t)
 	if err := compress.Apply(net, compress.Uniform(net, 1.0, 8, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +314,7 @@ func TestEmpiricalQuantizationSeverity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical test skipped in -short")
 	}
-	cfg := dataset.SynthConfig{Seed: 21, NoiseStd: 0.03, Jitter: 0.05}
-	train, test := dataset.TrainTest(cfg, 300, 120)
-	net := multiexit.LeNetEE(tensor.NewRNG(31))
-	if _, err := multiexit.Train(net, train, multiexit.TrainConfig{Epochs: 4, BatchSize: 25, Seed: 31}); err != nil {
-		t.Fatal(err)
-	}
+	net, test := trainedLeNetEE(t)
 	snap := compress.NewSnapshot(net)
 
 	if err := compress.Apply(net, compress.Uniform(net, 1.0, 8, 8)); err != nil {
