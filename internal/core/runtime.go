@@ -291,12 +291,6 @@ func (r *Runtime) Backend() InferBackend {
 	return r.cfg.Backend
 }
 
-// ExitAgent exposes the exit Q-learner (tests and diagnostics).
-func (r *Runtime) ExitAgent() *qlearn.ExitAgent { return r.ep.ExitAgent }
-
-// IncrementalAgent exposes the incremental Q-learner.
-func (r *Runtime) IncrementalAgent() *qlearn.IncrementalAgent { return r.ep.IncrAgent }
-
 // SetExploration sets ε on both Q-tables (0 for greedy evaluation).
 func (r *Runtime) SetExploration(eps float64) {
 	r.ep.ExitAgent.Table.Epsilon = eps
