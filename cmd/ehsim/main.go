@@ -73,9 +73,10 @@ func main() {
 	}
 
 	// Materialize the point's trace and deployment up front for the
-	// header; the engine re-derives the identical ones from RunSeed.
+	// header; the engine re-derives the identical ones from TraceSeed and
+	// DeploySeed.
 	pt := grid.Points()[0]
-	trace, err := pt.Trace.Build(pt.RunSeed)
+	trace, err := pt.Trace.Build(pt.TraceSeed)
 	if err != nil {
 		fatal(err)
 	}

@@ -114,8 +114,8 @@ func PolicyFromArtifactFile(path string) (PolicySpec, error) {
 // never silently change meaning. ehserved's /v1/registry reflects the
 // live contents.
 
-// TraceBuilder materializes a registered trace from a grid point's
-// derived seed; see RegisterTrace.
+// TraceBuilder materializes a registered trace from a grid replicate's
+// trace seed (Point.TraceSeed); see RegisterTrace.
 type TraceBuilder = exper.TraceBuilder
 
 // ScheduleBuilder generates a point's event schedule; see

@@ -29,10 +29,11 @@
 //   - the parallel experiment engine (internal/exper): declarative
 //     scenario grids — energy trace × MCU device × compression policy ×
 //     exit policy × seed — sharded across a goroutine worker pool with
-//     per-point seed derivation, so grid results are bit-identical at
-//     any worker count; the tensor kernels underneath (row-band parallel
-//     MatMul, pooled im2col-GEMM conv) spread single inferences across
-//     cores as well;
+//     per-point seed derivation and one read-only trace per (trace,
+//     seed) replicate shared across the other axes, so grid results are
+//     bit-identical at any worker count; the tensor kernels underneath
+//     (row-band parallel MatMul, pooled im2col-GEMM conv) spread single
+//     inferences across cores as well;
 //
 //   - compiled inference plans (internal/plan): a deployment-time
 //     compiler that turns the multi-exit network into a zero-allocation

@@ -9,13 +9,19 @@
 // that hold, and extensions must preserve them:
 //
 //  1. Every point's randomness flows from Point.RunSeed, a pure function
-//     of (Grid.BaseSeed, point index, replicate seed) — never from shared
-//     RNG state or scheduling order.
-//  2. A point constructs everything it mutates (trace, schedule, device,
-//     storage, runtime) locally. The only cross-point sharing is the
-//     per-policy deployment, which is read-only during simulation and
+//     of (Grid.BaseSeed, point index, replicate seed), and from
+//     Point.TraceSeed, the RunSeed of its replicate's lowest-index point
+//     — never from shared RNG state or scheduling order.
+//  2. A point constructs everything it mutates (schedule, device,
+//     storage, runtime) locally. Two objects are shared across points,
+//     both read-only during simulation: the per-policy deployment,
 //     seeded by (BaseSeed, policy index) alone — the paper's "one
-//     deployed model, many conditions" semantics.
+//     deployed model, many conditions" semantics — and the replicate's
+//     trace. A replicate is one trace-axis value at one Seeds position;
+//     all its points, whatever their device, policy, exit or storage,
+//     run on one trace, as the paper compares its systems on one trace.
+//     The first worker that needs it builds it, and the replicate's last
+//     pending point releases it.
 //  3. Workers write results into the point's own slot of a pre-sized
 //     slice, so collection order equals enumeration order regardless of
 //     completion order.

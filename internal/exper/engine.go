@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 )
 
 // Result is the outcome of one grid point: the proposed system's row
@@ -51,8 +53,8 @@ type Engine struct {
 	// Completed injects already-finished results by point index before
 	// the run starts: those slots are filled verbatim, never re-run, and
 	// never reported through OnResult. This is the resume path for a
-	// checkpointed grid — because every point derives its RNG from
-	// (BaseSeed, Index, Seed) alone, a run resumed this way produces a
+	// checkpointed grid — because every point's streams and trace derive
+	// from the grid's seeds alone, a run resumed this way produces a
 	// GridResult byte-identical to one that was never interrupted.
 	Completed map[int]Result
 }
@@ -86,9 +88,9 @@ func (e *Engine) Run(g *Grid) (*GridResult, error) {
 
 // RunContext executes every point of the grid and returns the collected
 // results in enumeration order. Each point derives its own RNG streams
-// from (BaseSeed, Index, Seed) and shares no mutable state with its
-// siblings, so the returned GridResult is byte-identical for any worker
-// count.
+// from (BaseSeed, Index, Seed), runs on its replicate's read-only trace
+// (see Point.TraceSeed) and shares no mutable state with its siblings,
+// so the returned GridResult is byte-identical for any worker count.
 //
 // Cancellation is cooperative and preserves partial results: the context
 // is checked between grid points (and, inside a point, between training
@@ -132,15 +134,23 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 	// safe and the paper-faithful semantics: one deployed model, many
 	// conditions. A failed build is recorded and charged to every point
 	// using that policy.
-	// A resumed run only needs deployments for policies that still have
-	// pending points; on a fresh run every policy is pending.
+	// A resumed run only needs deployments for policies, and traces for
+	// replicates, that still have pending points; on a fresh run every
+	// one is pending.
 	pending := make(map[string]bool, len(g.Policies))
 	npending := 0
+	reps := make([]*replicate, len(g.Traces)*len(g.Seeds))
 	for i, p := range points {
-		if !ran[i] {
-			pending[p.Policy.Name] = true
-			npending++
+		if ran[i] {
+			continue
 		}
+		pending[p.Policy.Name] = true
+		npending++
+		ri := g.replicateOf(i)
+		if reps[ri] == nil {
+			reps[ri] = &replicate{spec: p.Trace, seed: p.TraceSeed}
+		}
+		reps[ri].pending.Add(1)
 	}
 	deps := make(map[string]*core.Deployed, len(g.Policies))
 	depErrs := make(map[string]string, len(g.Policies))
@@ -186,17 +196,22 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 				// order is deterministic even though completion order
 				// is not.
 				ran[i] = true
+				rep := reps[g.replicateOf(i)]
 				if ctx.Err() != nil {
 					// A job handed over in the same instant the context
 					// died: skip it rather than start a doomed point.
 					results[i] = Result{Point: points[i], Err: ErrSkipped, Skipped: true}
+					rep.release()
 					continue
 				}
 				if msg, bad := depErrs[points[i].Policy.Name]; bad {
 					results[i] = Result{Point: points[i], Err: msg}
+				} else if trace, msg := rep.get(); msg != "" {
+					results[i] = Result{Point: points[i], Err: msg}
 				} else {
-					results[i] = runPoint(ctx, g, points[i], deps[points[i].Policy.Name], e.Backend, schedule)
+					results[i] = runPoint(ctx, g, points[i], trace, deps[points[i].Policy.Name], e.Backend, schedule)
 				}
+				rep.release()
 				if notify != nil {
 					notify(results[i])
 				}
@@ -239,6 +254,47 @@ feed:
 	return gr, nil
 }
 
+// replicate is one (trace-axis position, Seeds position) pair: the
+// trace all its points share. The first worker that needs the trace
+// builds it; the last pending point releases it, so memory holds the
+// traces in flight, not one per replicate. energy.Trace has no lazy
+// state, so concurrent readers are safe.
+type replicate struct {
+	spec TraceSpec
+	seed uint64 // Point.TraceSeed
+
+	once  sync.Once
+	trace *energy.Trace
+	err   string // a failed build fails every point of the replicate
+
+	pending atomic.Int64 // points still to run
+}
+
+// get returns the replicate's trace, building it on first use.
+func (r *replicate) get() (*energy.Trace, string) {
+	r.once.Do(func() {
+		tr, err := r.spec.Build(r.seed)
+		switch {
+		case err != nil:
+			r.err = err.Error()
+		case tr.Duration() == 0:
+			r.err = fmt.Sprintf("exper: trace %q is empty", r.spec.Name)
+		default:
+			r.trace = tr
+		}
+	})
+	return r.trace, r.err
+}
+
+// release drops one pending point's hold on the trace. Every get
+// happens before its caller's release, so once the count reaches zero
+// nothing reads the trace again.
+func (r *replicate) release() {
+	if r.pending.Add(-1) == 0 {
+		r.trace = nil
+	}
+}
+
 // buildDeployed resolves one policy's shared deployment, through the
 // cache when the engine has one. Pre-built deployment axis values
 // (PolicyFromDeployed) bypass both the build and the cache — they are
@@ -260,23 +316,14 @@ func (e *Engine) buildDeployed(ps PolicySpec, seed uint64) (*core.Deployed, stri
 	return d, ""
 }
 
-// runPoint materializes and simulates one scenario. Everything the
-// simulation mutates — trace, schedule, device, storage, runtime — is
-// constructed locally from the point's derived seed; the deployment is
-// the policy's shared read-only copy (built fresh when deployed is nil).
-// The grid's named backend wins over the engine default.
-func runPoint(ctx context.Context, g *Grid, p Point, deployed *core.Deployed, defaultBackend core.InferBackend, schedule ScheduleBuilder) Result {
+// runPoint simulates one scenario on its replicate's trace. Everything
+// the simulation mutates — schedule, device, storage, runtime — is
+// constructed locally from the point's derived seed; the trace and the
+// deployment are shared read-only (the deployment is built fresh when
+// deployed is nil). The grid's named backend wins over the engine
+// default.
+func runPoint(ctx context.Context, g *Grid, p Point, trace *energy.Trace, deployed *core.Deployed, defaultBackend core.InferBackend, schedule ScheduleBuilder) Result {
 	res := Result{Point: p}
-
-	trace, err := p.Trace.Build(p.RunSeed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	if trace.Duration() == 0 {
-		res.Err = fmt.Sprintf("exper: trace %q is empty", p.Trace.Name)
-		return res
-	}
 	store := p.Storage.Storage // copy; simulations mutate the charge state
 	sc := &core.Scenario{
 		Trace:    trace,
@@ -295,11 +342,12 @@ func runPoint(ctx context.Context, g *Grid, p Point, deployed *core.Deployed, de
 				return res
 			}
 		} else {
-			deployed, err = core.BuildDeployed(p.Policy.Build(), p.DeploySeed)
+			d, err := core.BuildDeployed(p.Policy.Build(), p.DeploySeed)
 			if err != nil {
 				res.Err = err.Error()
 				return res
 			}
+			deployed = d
 		}
 	}
 	backend := defaultBackend

@@ -191,7 +191,11 @@ func TestPaperCompareGridMatchesCompareSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := runPoint(context.Background(), grid, p, nil, core.BackendPlan, sched)
+	trace, err := p.Trace.Build(p.TraceSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := runPoint(context.Background(), grid, p, trace, nil, core.BackendPlan, sched)
 	if direct.Err != "" {
 		t.Fatal(direct.Err)
 	}

@@ -25,8 +25,9 @@ const (
 
 // TraceSpec declaratively describes one energy trace axis value. It is
 // pure data (JSON-serializable) so a grid can be logged alongside its
-// results; the trace itself is materialized per point with the point's
-// derived seed.
+// results; the trace itself is materialized once per replicate (one
+// trace-axis value and one Seeds position) from Point.TraceSeed and
+// shared read-only by every point of the replicate.
 type TraceSpec struct {
 	// Name labels the axis value in tables and aggregation keys.
 	Name string    `json:"name"`
@@ -44,10 +45,16 @@ type TraceSpec struct {
 func (ts TraceSpec) Build(seed uint64) (*energy.Trace, error) {
 	switch ts.Kind {
 	case TraceSolar:
+		if err := ts.checkSeconds(); err != nil {
+			return nil, err
+		}
 		return energy.SyntheticSolarTrace(energy.SolarConfig{
 			Seconds: ts.Seconds, PeakPower: ts.PeakPower, Seed: seed,
 		}), nil
 	case TraceKinetic:
+		if err := ts.checkSeconds(); err != nil {
+			return nil, err
+		}
 		return energy.SyntheticKineticTrace(energy.KineticConfig{
 			Seconds: ts.Seconds, BurstPower: ts.PeakPower, Seed: seed,
 		}), nil
@@ -62,6 +69,15 @@ func (ts TraceSpec) Build(seed uint64) (*energy.Trace, error) {
 	default:
 		return nil, fmt.Errorf("exper: unknown trace kind %q", ts.Kind)
 	}
+}
+
+// checkSeconds rejects a negative duration for the synthetic
+// generators, which would otherwise panic sizing the trace.
+func (ts TraceSpec) checkSeconds() error {
+	if ts.Seconds < 0 {
+		return fmt.Errorf("exper: %s trace %q has negative seconds %d", ts.Kind, ts.Name, ts.Seconds)
+	}
+	return nil
 }
 
 // RegisteredTrace references a trace builder registered under name (see
@@ -212,6 +228,9 @@ func (g *Grid) Validate() error {
 	for _, ts := range g.Traces {
 		switch ts.Kind {
 		case TraceSolar, TraceKinetic:
+			if err := ts.checkSeconds(); err != nil {
+				return fmt.Errorf("exper: grid %q: %w", g.Name, err)
+			}
 		case TraceCSV:
 			if ts.Path == "" {
 				return fmt.Errorf("exper: grid %q: csv trace %q has no path", g.Name, ts.Name)
@@ -269,12 +288,18 @@ type Point struct {
 	Storage StorageSpec `json:"storage"`
 	// Seed is the user-visible replicate seed from the grid's Seeds axis.
 	Seed uint64 `json:"seed"`
-	// RunSeed is the derived seed that actually drives the point's trace,
-	// schedule, and runtime RNG streams. It is a pure function of
-	// (BaseSeed, Index, Seed) — never of shared state or scheduling
-	// order — which is what makes engine output independent of the worker
-	// count.
+	// RunSeed is the derived seed that drives the point's schedule and
+	// runtime RNG streams. It is a pure function of (BaseSeed, Index,
+	// Seed) — never of shared state or scheduling order — which is what
+	// makes engine output independent of the worker count.
 	RunSeed uint64 `json:"runSeed"`
+	// TraceSeed seeds the energy trace the point runs on. A replicate —
+	// one trace-axis position and one Seeds position — runs all its
+	// points, whatever their device, policy, exit or storage, on one
+	// trace, seeded with the RunSeed of its lowest-index point. In a grid
+	// whose other axes have one value each, every point is its own
+	// replicate and TraceSeed equals RunSeed.
+	TraceSeed uint64 `json:"traceSeed"`
 	// DeploySeed drives the deployment (network init + compression). It
 	// depends only on (BaseSeed, policy index): the paper deploys ONE
 	// compressed model and varies the conditions around it, so all points
@@ -300,20 +325,37 @@ func (g *Grid) DeploySeedFor(policyIdx int) uint64 {
 	return deriveSeed(g.BaseSeed, deploySalt, uint64(policyIdx))
 }
 
+// traceBlock is the number of points per trace-axis value.
+func (g *Grid) traceBlock() int {
+	return len(g.Devices) * len(g.Policies) * len(g.Exits) * len(g.Storages) * len(g.Seeds)
+}
+
+// replicateOf numbers the replicate of the point at index idx:
+// trace-axis position × len(Seeds) + Seeds position. Replicates are
+// keyed by position, so two equal values in Seeds stay two replicates.
+func (g *Grid) replicateOf(idx int) int {
+	return idx/g.traceBlock()*len(g.Seeds) + idx%len(g.Seeds)
+}
+
 // Points enumerates the cross product in deterministic row-major order.
 func (g *Grid) Points() []Point {
 	pts := make([]Point, 0, g.Size())
+	block := g.traceBlock()
 	idx := 0
-	for _, tr := range g.Traces {
+	for ti, tr := range g.Traces {
 		for _, dev := range g.Devices {
 			for pi, pol := range g.Policies {
 				for _, ex := range g.Exits {
 					for _, st := range g.Storages {
-						for _, seed := range g.Seeds {
+						for si, seed := range g.Seeds {
+							// ti·block + si is the replicate's lowest
+							// index: the first device, policy, exit and
+							// storage.
 							pts = append(pts, Point{
 								Index: idx, Trace: tr, Device: dev, Policy: pol,
 								Exit: ex, Storage: st, Seed: seed,
 								RunSeed:    deriveSeed(g.BaseSeed, uint64(idx), seed),
+								TraceSeed:  deriveSeed(g.BaseSeed, uint64(ti*block+si), seed),
 								DeploySeed: g.DeploySeedFor(pi),
 							})
 							idx++

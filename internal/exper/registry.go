@@ -53,7 +53,8 @@ var (
 	}
 
 	// traceRegistry maps named trace builders usable via TraceSpec kind
-	// "registered". The builder receives the point's derived seed.
+	// "registered". The builder receives the replicate's trace seed
+	// (Point.TraceSeed).
 	traceRegistry = map[string]TraceBuilder{
 		"paper-solar": func(seed uint64) (*energy.Trace, error) {
 			return energy.SyntheticSolarTrace(energy.SolarConfig{
@@ -85,8 +86,8 @@ var (
 )
 
 // TraceBuilder materializes a registered trace axis value from the grid
-// point's derived seed. Builders must be deterministic in the seed and
-// safe for concurrent use.
+// replicate's trace seed (Point.TraceSeed). Builders must be
+// deterministic in the seed and safe for concurrent use.
 type TraceBuilder func(seed uint64) (*energy.Trace, error)
 
 // ScheduleBuilder generates a point's event schedule. Builders must be

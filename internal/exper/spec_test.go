@@ -99,3 +99,27 @@ func TestGridSpecBackend(t *testing.T) {
 		t.Fatalf("int8fast backend not carried: %v %v", g, err)
 	}
 }
+
+// TestGridSpecRejectsNegativeTraceSeconds: a synthetic trace of negative
+// length fails validation, and Build reports it instead of panicking.
+func TestGridSpecRejectsNegativeTraceSeconds(t *testing.T) {
+	for _, ts := range []TraceSpec{
+		{Name: "x", Kind: TraceSolar, Seconds: -1},
+		{Name: "x", Kind: TraceKinetic, Seconds: -3600},
+	} {
+		if _, err := (&GridSpec{Events: 4, Traces: []TraceSpec{ts}}).Grid(); err == nil || !strings.Contains(err.Error(), "negative seconds") {
+			t.Fatalf("%s trace with seconds %d: want a negative-seconds error, got %v", ts.Kind, ts.Seconds, err)
+		}
+		g := &Grid{
+			Name: "neg", Traces: []TraceSpec{ts}, Devices: []DeviceSpec{MSP432Device()},
+			Policies: []PolicySpec{NonuniformPolicy()}, Exits: []ExitSpec{StaticExit()},
+			Storages: []StorageSpec{Capacitor(3)}, Seeds: []uint64{1},
+		}
+		if err := g.Validate(); err == nil {
+			t.Fatalf("%s trace with seconds %d passed Grid.Validate", ts.Kind, ts.Seconds)
+		}
+		if tr, err := ts.Build(1); err == nil {
+			t.Fatalf("%s trace with seconds %d built %d s", ts.Kind, ts.Seconds, tr.Duration())
+		}
+	}
+}

@@ -86,6 +86,8 @@ func TestSpecValidation(t *testing.T) {
 		{Populations: []PopulationSpec{{Count: 1, Gamma: 3}}},
 		{Populations: []PopulationSpec{{Count: 1, Epsilon: -0.1}}},
 		{Populations: []PopulationSpec{{Count: 1, Epsilon: 2}}},
+		{Populations: []PopulationSpec{{Count: 1, Trace: exper.TraceSpec{Name: "x", Kind: exper.TraceSolar, Seconds: -1}}}},
+		{Populations: []PopulationSpec{{Count: 1, Trace: exper.TraceSpec{Name: "x", Kind: exper.TraceKinetic, Seconds: -1}}}},
 	}
 	for i := range bad {
 		if _, err := bad[i].Fleet(); err == nil {

@@ -248,6 +248,8 @@ func TestServeFleetBadSpecs(t *testing.T) {
 		`{"epochs":1,"events":4,"populations":[{"count":1,"gamma":3}]}`,
 		`{"epochs":1,"events":4,"populations":[{"count":1,"epsilon":-0.1}]}`,
 		`{"epochs":1,"events":4,"populations":[{"count":1,"epsilon":2}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"trace":{"name":"x","kind":"solar","seconds":-1}}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"trace":{"name":"x","kind":"kinetic","seconds":-1}}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
 		if err != nil {

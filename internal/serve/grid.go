@@ -75,6 +75,13 @@ func (g *gridEngine) resume(lines [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("journal line %d: point %d run seed %d does not match grid's %d",
 				i+1, idx, res.Point.RunSeed, points[idx].RunSeed)
 		}
+		if points[idx].TraceSeed != res.Point.TraceSeed {
+			// Likewise for the trace: a journal written before points
+			// shared their replicate's trace carries no trace seed, and
+			// its points ran on traces this grid no longer builds.
+			return nil, fmt.Errorf("journal line %d: point %d trace seed %d does not match grid's %d",
+				i+1, idx, res.Point.TraceSeed, points[idx].TraceSeed)
+		}
 		if _, dup := g.completed[idx]; !dup {
 			restored = append(restored, line)
 		}

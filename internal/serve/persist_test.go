@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -272,5 +274,76 @@ func TestCanceledJobNotResumed(t *testing.T) {
 	_, metrics := getBody(t, ts2.URL+"/metrics")
 	if strings.Contains(metrics, mJobsResumed+" 1") {
 		t.Fatal("canceled job was resumed")
+	}
+}
+
+// TestJournalWithoutTraceSeedsNotResumed: a grid journal whose point
+// lines carry no traceSeed was written when every point built its own
+// trace. Resuming it would mix points run on those traces with points
+// run on shared ones, so the next boot drops it: the job answers 404
+// and its journal is gone.
+func TestJournalWithoutTraceSeedsNotResumed(t *testing.T) {
+	var spec ehinfer.GridSpec
+	if err := json.Unmarshal([]byte(fastSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := spec.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ehinfer.NewSession(ehinfer.WithWorkers(1)).RunGrid(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := st.NewJobJournal("g1", header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Journal the first half of the points as they were written before
+	// points carried a trace seed.
+	for _, r := range res.Results[:len(res.Results)/2] {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields, point map[string]json.RawMessage
+		if err := json.Unmarshal(line, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(fields["point"], &point); err != nil {
+			t.Fatal(err)
+		}
+		delete(point, "traceSeed")
+		if fields["point"], err = json.Marshal(point); err != nil {
+			t.Fatal(err)
+		}
+		if line, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := journal.Append(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sv, ts := durableServer(t, dir, 1)
+	defer shutdownServer(t, sv, ts)
+	if code, body := getBody(t, ts.URL+"/v1/grids/g1"); code != http.StatusNotFound {
+		t.Fatalf("journal without trace seeds resumed: %d %s", code, body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", "g1.journal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused journal still on disk: %v", err)
 	}
 }

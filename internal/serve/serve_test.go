@@ -254,6 +254,7 @@ func TestServeRejectsBadInput(t *testing.T) {
 		fastSpec + ` garbage`,
 		fastSpec + `}`,
 		fastSpec + `{"garbage": true}`,
+		`{"events":4,"traces":[{"name":"x","kind":"solar","seconds":-1}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/grids", "application/json", strings.NewReader(body))
 		if err != nil {
