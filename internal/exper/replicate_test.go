@@ -216,6 +216,30 @@ func TestReplicateSharesAndReleasesTrace(t *testing.T) {
 		t.Fatal("trace kept after its last point")
 	}
 
+	// Points of one replicate on concurrent workers.
+	const users = 8
+	r = &replicate{spec: SolarTrace(600, 0.05), seed: 9}
+	r.pending.Add(users)
+	got := make([]*energy.Trace, users)
+	var wg sync.WaitGroup
+	for i := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = r.get()
+			r.release()
+		}()
+	}
+	wg.Wait()
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("worker %d got trace %p, worker 0 %p", i, tr, got[0])
+		}
+	}
+	if r.trace != nil {
+		t.Fatal("trace kept after its last point")
+	}
+
 	bad := &replicate{spec: TraceSpec{Name: "neg", Kind: TraceKinetic, Seconds: -5}, seed: 9}
 	if tr, msg := bad.get(); tr != nil || msg == "" {
 		t.Fatalf("negative-length trace built: %v %q", tr, msg)
