@@ -76,9 +76,8 @@ func (g *gridEngine) resume(lines [][]byte) ([][]byte, error) {
 				i+1, idx, res.Point.RunSeed, points[idx].RunSeed)
 		}
 		if points[idx].TraceSeed != res.Point.TraceSeed {
-			// Likewise for the trace: a journal written before points
-			// shared their replicate's trace carries no trace seed, and
-			// its points ran on traces this grid no longer builds.
+			// Likewise for the trace. A line without one was written when
+			// each point built its own trace, which this grid does not.
 			return nil, fmt.Errorf("journal line %d: point %d trace seed %d does not match grid's %d",
 				i+1, idx, res.Point.TraceSeed, points[idx].TraceSeed)
 		}
