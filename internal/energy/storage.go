@@ -104,11 +104,18 @@ func (s *Storage) Harvest(mj, dt float64) float64 {
 // result — is bit-identical to calling Harvest second by second. This is
 // the simulation engine's hottest loop: a 6-hour trace crosses it 21 600
 // times per episode.
+//
+// Once a second clamps the buffer at capacity, the seconds after it
+// whose charge keeps it there are skipped through: each would leave the
+// level at capacity and the on-state as it is, and add level - before =
+// +0 to the stored ledger, which is never -0 after a clamp (a sum is -0
+// only if both terms are), so only the harvested ledger moves.
 func (s *Storage) HarvestSeconds(power []float64, harvestedAcc, storedAcc float64) (float64, float64) {
 	eff, leak := s.ChargeEfficiency, s.LeakMWPerS
 	capacity, turnOn := s.CapacityMJ, s.TurnOnMJ
 	level, on := s.level, s.on
-	for _, p := range power {
+	for i := 0; i < len(power); i++ {
+		p := power[i]
 		harvestedAcc += p // mW × 1 s = mJ, pre-efficiency
 		before := level
 		level += p * eff
@@ -118,6 +125,23 @@ func (s *Storage) HarvestSeconds(power []float64, harvestedAcc, storedAcc float6
 		}
 		if level > capacity {
 			level = capacity
+			if !on && level >= turnOn {
+				on = true
+			}
+			storedAcc += level - before
+			// Capacitor full: the stepping expressions, in the same
+			// shape, so a fused multiply-add rounds alike in both.
+			for i+1 < len(power) {
+				x := capacity
+				x += power[i+1] * eff
+				x -= leak
+				if !(x >= capacity) {
+					break
+				}
+				i++
+				harvestedAcc += power[i]
+			}
+			continue
 		}
 		if !on && level >= turnOn {
 			on = true

@@ -64,14 +64,75 @@ func (r *refEngine) waitForEnergy(mj, deadline float64) bool {
 	return r.store.On() && r.store.Available() >= mj
 }
 
-// TestWaitForEnergyBitIdenticalToStepping fuzzes WaitForEnergy against
-// the reference stepper: random traces (including exact-zero stretches
-// that trigger the drain fast path), full-precision fractional starting
-// clocks, and random targets/deadlines. Every observable — result,
-// clock, buffer level, on-state, energy ledgers — must match bit for
-// bit.
+// TestWaitForEnergyBitIdenticalToStepping fuzzes WaitForEnergy and
+// AdvanceTo against the reference stepper. The first trials use weak
+// random traces (including exact-zero stretches that trigger the drain
+// fast path), full-precision fractional starting clocks, and random
+// targets/deadlines. The capacitor-full trials after them charge small
+// capacitors hard enough that HarvestSeconds skips through seconds at
+// capacity, with stretches at the leak break-even where the skip test
+// is decided by rounding. Every observable — result, clock, buffer
+// level, on-state, energy ledgers — must match bit for bit.
 func TestWaitForEnergyBitIdenticalToStepping(t *testing.T) {
 	rng := tensor.NewRNG(0xbeef)
+	var eng *Engine
+	var ref *refEngine
+	atCapacity := 0
+	same := func(trial, step int) {
+		t.Helper()
+		if eng.Now() != ref.now {
+			t.Fatalf("trial %d step %d: clock %x vs %x", trial, step, eng.Now(), ref.now)
+		}
+		if eng.Store.Level() != ref.store.Level() || eng.Store.On() != ref.store.On() {
+			t.Fatalf("trial %d step %d: level %x/%v vs %x/%v",
+				trial, step, eng.Store.Level(), eng.Store.On(), ref.store.Level(), ref.store.On())
+		}
+		st := eng.Stats()
+		if st.HarvestedMJ != ref.harvested || st.StoredMJ != ref.storedE {
+			t.Fatalf("trial %d step %d: ledgers (%x, %x) vs (%x, %x)",
+				trial, step, st.HarvestedMJ, st.StoredMJ, ref.harvested, ref.storedE)
+		}
+		if eng.Store.Level() == eng.Store.CapacityMJ {
+			atCapacity++
+		}
+	}
+	// start builds the engine and the reference on one trace and drives
+	// both to the clock t0.
+	start := func(power []float64, mkStore func() *energy.Storage, t0 float64) {
+		t.Helper()
+		trace := &energy.Trace{Power: power}
+		var err error
+		eng, err = New(mcu.MSP432(), mkStore(), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refStore := mkStore()
+		refStore.SetLevel(refStore.TurnOnMJ)
+		ref = &refEngine{store: refStore, trace: trace}
+		eng.AdvanceTo(t0)
+		ref.harvestStep(t0 - ref.now)
+	}
+	// advance moves both to the clock next, spending a little first as
+	// a task would.
+	advance := func(spend, next float64) {
+		eng.Store.Spend(spend)
+		ref.store.Spend(spend)
+		eng.AdvanceTo(next)
+		ref.harvestStep(next - ref.now)
+		if math.IsNaN(eng.Now()) {
+			t.Fatal("clock went NaN")
+		}
+	}
+	wait := func(trial, step int, target, deadline float64) {
+		t.Helper()
+		got := eng.WaitForEnergy(target, deadline)
+		want := ref.waitForEnergy(target, deadline)
+		if got != want {
+			t.Fatalf("trial %d step %d: wait result %v vs %v", trial, step, got, want)
+		}
+		same(trial, step)
+	}
+
 	for trial := 0; trial < 300; trial++ {
 		// Random trace with zero runs and tiny powers.
 		dur := 50 + int(rng.Float64()*200)
@@ -84,7 +145,6 @@ func TestWaitForEnergyBitIdenticalToStepping(t *testing.T) {
 				power[i] = rng.Float64() * 0.05
 			}
 		}
-		trace := &energy.Trace{Power: power}
 
 		// Half the trials use the TurnOnMJ == BrownOutMJ edge, where a
 		// browned-out buffer sits exactly at the turn-on threshold and
@@ -100,52 +160,79 @@ func TestWaitForEnergyBitIdenticalToStepping(t *testing.T) {
 				ChargeEfficiency: 0.9, LeakMWPerS: 0.0002,
 			}
 		}
-		engStore := mkStore()
-		eng, err := New(mcu.MSP432(), engStore, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refStore := mkStore()
-		refStore.SetLevel(refStore.TurnOnMJ)
-		ref := &refEngine{store: refStore, trace: trace}
-
 		// Drive both to the same full-precision fractional clock, then
 		// issue the same waits.
-		t0 := rng.Float64() * 3 // fractional, full 53-bit mantissa
-		eng.AdvanceTo(t0)
-		ref.harvestStep(t0 - ref.now)
+		start(power, mkStore, rng.Float64()*3) // fractional, full 53-bit mantissa
 
 		for w := 0; w < 4; w++ {
 			target := 0.2 + rng.Float64()*3
 			deadline := eng.Now() + rng.Float64()*float64(dur)
-			got := eng.WaitForEnergy(target, deadline)
-			want := ref.waitForEnergy(target, deadline)
-			if got != want {
-				t.Fatalf("trial %d wait %d: result %v vs %v", trial, w, got, want)
-			}
-			if eng.Now() != ref.now {
-				t.Fatalf("trial %d wait %d: clock %x vs %x", trial, w, eng.Now(), ref.now)
-			}
-			if engStore.Level() != refStore.Level() || engStore.On() != refStore.On() {
-				t.Fatalf("trial %d wait %d: level %x/%v vs %x/%v",
-					trial, w, engStore.Level(), engStore.On(), refStore.Level(), refStore.On())
-			}
-			st := eng.Stats()
-			if st.HarvestedMJ != ref.harvested || st.StoredMJ != ref.storedE {
-				t.Fatalf("trial %d wait %d: ledgers (%x, %x) vs (%x, %x)",
-					trial, w, st.HarvestedMJ, st.StoredMJ, ref.harvested, ref.storedE)
-			}
+			wait(trial, w, target, deadline)
 			// Advance both across a fractional gap (spending a little as
 			// a task would) so later waits start from a messy clock.
 			spend := rng.Float64() * 0.2
-			engStore.Spend(spend)
-			refStore.Spend(spend)
-			next := eng.Now() + rng.Float64()*5
-			eng.AdvanceTo(next)
-			ref.harvestStep(next - ref.now)
-			if math.IsNaN(eng.Now()) {
-				t.Fatal("clock went NaN")
+			advance(spend, eng.Now()+rng.Float64()*5)
+		}
+	}
+
+	// Capacitor-full trials: 0.5–3.5 mJ buffers, powers up to 0.9 mW in
+	// runs, some at the leak break-even (p·0.9 ≈ 0.0002 mW), and AdvanceTo
+	// gaps of up to 300 s, whole and fractional.
+	const eff, leak = 0.9, 0.0002
+	for trial := 300; trial < 500; trial++ {
+		capacity := 0.5 + rng.Float64()*3
+		ulp := math.Nextafter(capacity, 4) - capacity
+		dur := 300 + int(rng.Float64()*900)
+		power := make([]float64, dur)
+		for i := 0; i < dur; {
+			run := 1 + int(rng.Float64()*60)
+			kind := rng.Float64()
+			for ; run > 0 && i < dur; run, i = run-1, i+1 {
+				switch {
+				case kind < 0.2:
+					power[i] = 0
+				case kind < 0.5:
+					// A net charge within 3 ulps of the capacity: whether
+					// a full buffer stays full is decided by rounding.
+					power[i] = (leak + (rng.Float64()*6-3)*ulp) / eff
+				case kind < 0.6:
+					power[i] = leak / eff * (0.5 + rng.Float64())
+				default:
+					power[i] = rng.Float64() * 0.9
+				}
 			}
 		}
+		turnOn, brownOut := 0.5, 0.05
+		if trial%2 == 1 {
+			turnOn, brownOut = 0.05, 0.05
+		}
+		mkStore := func() *energy.Storage {
+			return &energy.Storage{
+				CapacityMJ: capacity, TurnOnMJ: turnOn, BrownOutMJ: brownOut,
+				ChargeEfficiency: eff, LeakMWPerS: leak,
+			}
+		}
+		t0 := 0.0 // whole clock: the first gaps run HarvestSeconds from a boundary
+		if trial%4 >= 2 {
+			t0 = rng.Float64() * 3
+		}
+		start(power, mkStore, t0)
+		same(trial, 0)
+		for step := 1; step <= 8; step++ {
+			gap := math.Floor(rng.Float64() * 300)
+			if rng.Float64() < 0.5 {
+				gap = rng.Float64() * 300
+			}
+			advance(rng.Float64()*capacity*0.5, eng.Now()+gap)
+			same(trial, step)
+			if step%3 == 0 {
+				target := rng.Float64() * capacity
+				wait(trial, step, target, eng.Now()+rng.Float64()*300)
+			}
+		}
+	}
+	t.Logf("%d checks landed at capacity", atCapacity)
+	if atCapacity < 100 {
+		t.Fatalf("only %d checks landed at capacity; the capacitor-full trials no longer fill it", atCapacity)
 	}
 }
