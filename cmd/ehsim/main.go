@@ -73,10 +73,10 @@ func main() {
 	}
 
 	// Materialize the point's trace and deployment up front for the
-	// header; the engine re-derives the identical ones from TraceSeed and
-	// DeploySeed.
+	// header; the engine re-derives the identical ones from ReplicateSeed
+	// and DeploySeed.
 	pt := grid.Points()[0]
-	trace, err := pt.Trace.Build(pt.TraceSeed)
+	trace, err := pt.Trace.Build(pt.ReplicateSeed)
 	if err != nil {
 		fatal(err)
 	}

@@ -115,10 +115,10 @@ func PolicyFromArtifactFile(path string) (PolicySpec, error) {
 // live contents.
 
 // TraceBuilder materializes a registered trace from a grid replicate's
-// trace seed (Point.TraceSeed); see RegisterTrace.
+// seed (Point.ReplicateSeed), once per replicate; see RegisterTrace.
 type TraceBuilder = exper.TraceBuilder
 
-// ScheduleBuilder generates a point's event schedule; see
+// ScheduleBuilder generates a grid replicate's event schedule; see
 // RegisterSchedule.
 type ScheduleBuilder = exper.ScheduleBuilder
 

@@ -179,9 +179,22 @@ func CompareSystems(ctx context.Context, sc *Scenario, d *Deployed, cfg CompareC
 	}
 	ourRow := ReportRow(ourReport)
 	ourRow.System = "Our Approach"
-	rows := []SystemRow{ourRow}
+	rows, err := BaselineRows(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	return append([]SystemRow{ourRow}, rows...), nil
+}
 
-	for _, b := range baselines.All() {
+// BaselineRows runs SonicNet, SpArSeNet and LeNet-Cifar, in that order,
+// on the scenario's trace, schedule, device and storage, with their
+// correctness draws seeded by sc.Seed. They read nothing of a
+// deployment or an exit policy. The context is checked before each
+// baseline.
+func BaselineRows(ctx context.Context, sc *Scenario) ([]SystemRow, error) {
+	all := baselines.All()
+	rows := make([]SystemRow, 0, len(all))
+	for _, b := range all {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +54,10 @@ type Engine struct {
 	// Completed injects already-finished results by point index before
 	// the run starts: those slots are filled verbatim, never re-run, and
 	// never reported through OnResult. This is the resume path for a
-	// checkpointed grid — because every point's streams and trace derive
-	// from the grid's seeds alone, a run resumed this way produces a
-	// GridResult byte-identical to one that was never interrupted.
+	// checkpointed grid — because every point's streams, and its
+	// replicate's trace, schedule and baseline rows, derive from the
+	// grid's seeds alone, a run resumed this way produces a GridResult
+	// byte-identical to one that was never interrupted.
 	Completed map[int]Result
 }
 
@@ -87,10 +89,11 @@ func (e *Engine) Run(g *Grid) (*GridResult, error) {
 }
 
 // RunContext executes every point of the grid and returns the collected
-// results in enumeration order. Each point derives its own RNG streams
-// from (BaseSeed, Index, Seed), runs on its replicate's read-only trace
-// (see Point.TraceSeed) and shares no mutable state with its siblings,
-// so the returned GridResult is byte-identical for any worker count.
+// results in enumeration order. Each point derives its runtime RNG from
+// (BaseSeed, Index, Seed), runs on its replicate's read-only trace and
+// schedule, takes its triple's baseline rows (see Point.ReplicateSeed)
+// and shares no mutable state with its siblings, so the returned
+// GridResult is byte-identical for any worker count.
 //
 // Cancellation is cooperative and preserves partial results: the context
 // is checked between grid points (and, inside a point, between training
@@ -120,7 +123,7 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 
 	// One registry lookup for the whole run: Validate vetted the name,
 	// and the write-once registries cannot lose it afterwards.
-	schedule, err := LookupSchedule(g.Schedule)
+	newSchedule, err := LookupSchedule(g.Schedule)
 	if err != nil {
 		return nil, err
 	}
@@ -134,9 +137,9 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 	// safe and the paper-faithful semantics: one deployed model, many
 	// conditions. A failed build is recorded and charged to every point
 	// using that policy.
-	// A resumed run only needs deployments for policies, and traces for
-	// replicates, that still have pending points; on a fresh run every
-	// one is pending.
+	// A resumed run only needs deployments for policies, and traces,
+	// schedules and baselines for replicates, that still have pending
+	// points; on a fresh run every one is pending.
 	pending := make(map[string]bool, len(g.Policies))
 	npending := 0
 	reps := make([]*replicate, len(g.Traces)*len(g.Seeds))
@@ -148,7 +151,10 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 		npending++
 		ri := g.replicateOf(i)
 		if reps[ri] == nil {
-			reps[ri] = &replicate{spec: p.Trace, seed: p.TraceSeed}
+			reps[ri] = &replicate{spec: p.Trace, seed: p.ReplicateSeed}
+			if g.Baselines {
+				reps[ri].baselines = make([]baselineRun, len(g.Devices)*len(g.Storages))
+			}
 		}
 		reps[ri].pending.Add(1)
 	}
@@ -206,10 +212,10 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 				}
 				if msg, bad := depErrs[points[i].Policy.Name]; bad {
 					results[i] = Result{Point: points[i], Err: msg}
-				} else if trace, msg := rep.get(); msg != "" {
+				} else if msg := rep.get(g, newSchedule); msg != "" {
 					results[i] = Result{Point: points[i], Err: msg}
 				} else {
-					results[i] = runPoint(ctx, g, points[i], trace, deps[points[i].Policy.Name], e.Backend, schedule)
+					results[i] = runPoint(ctx, g, points[i], rep, deps[points[i].Policy.Name], e.Backend)
 				}
 				rep.release()
 				if notify != nil {
@@ -255,23 +261,39 @@ feed:
 }
 
 // replicate is one (trace-axis position, Seeds position) pair: the
-// trace all its points share. The first worker that needs the trace
-// builds it; the last pending point releases it, so memory holds the
-// traces in flight, not one per replicate. energy.Trace has no lazy
-// state, so concurrent readers are safe.
+// trace and event schedule all its points share, and the baseline rows
+// of each of its (device, storage) pairs. The first worker that needs
+// the trace builds it with the schedule; the last pending point
+// releases them, so memory holds the replicates in flight, not one per
+// replicate. energy.Trace has no lazy state and grids attach no samples
+// to the schedule, so concurrent readers are safe.
 type replicate struct {
 	spec TraceSpec
-	seed uint64 // Point.TraceSeed
+	seed uint64 // Point.ReplicateSeed
 
-	once  sync.Once
-	trace *energy.Trace
-	err   string // a failed build fails every point of the replicate
+	once     sync.Once
+	trace    *energy.Trace
+	schedule *energy.Schedule
+	err      string // a failed build fails every point of the replicate
+
+	// baselines holds one entry per (device, storage) pair, numbered by
+	// Grid.baselineOf; nil when the grid runs no baselines.
+	baselines []baselineRun
 
 	pending atomic.Int64 // points still to run
 }
 
-// get returns the replicate's trace, building it on first use.
-func (r *replicate) get() (*energy.Trace, string) {
+// baselineRun is one (replicate, device, storage) triple's baseline
+// rows, computed by the first point of the triple that needs them.
+type baselineRun struct {
+	once sync.Once
+	rows []core.SystemRow
+	err  string
+}
+
+// get builds the replicate's trace and schedule on first use and
+// returns the build error, if any, that fails each of its points.
+func (r *replicate) get(g *Grid, newSchedule ScheduleBuilder) string {
 	r.once.Do(func() {
 		tr, err := r.spec.Build(r.seed)
 		switch {
@@ -281,17 +303,43 @@ func (r *replicate) get() (*energy.Trace, string) {
 			r.err = fmt.Sprintf("exper: trace %q is empty", r.spec.Name)
 		default:
 			r.trace = tr
+			r.schedule = newSchedule(g.events(), tr.Duration(), g.classes(), r.seed)
 		}
 	})
-	return r.trace, r.err
+	return r.err
 }
 
-// release drops one pending point's hold on the trace. Every get
-// happens before its caller's release, so once the count reaches zero
-// nothing reads the trace again.
+// baselineRows returns the baseline rows of point p's (device, storage)
+// pair, running SonicNet, SpArSeNet and LeNet-Cifar on the replicate's
+// trace and schedule on first use. The rows depend only on the triple,
+// not on which point asks first. A failure, cancellation included,
+// fails every point that asks for the rows.
+func (r *replicate) baselineRows(ctx context.Context, g *Grid, p Point) ([]core.SystemRow, string) {
+	b := &r.baselines[g.baselineOf(p.Index)]
+	b.once.Do(func() {
+		store := p.Storage.Storage
+		rows, err := core.BaselineRows(ctx, &core.Scenario{
+			Trace:    r.trace,
+			Schedule: r.schedule,
+			Device:   p.Device.Build(),
+			Storage:  &store,
+			Seed:     r.seed,
+		})
+		if err != nil {
+			b.err = err.Error()
+			return
+		}
+		b.rows = rows
+	})
+	return b.rows, b.err
+}
+
+// release drops one pending point's hold on the replicate. Every get
+// and baselineRows call happens before its caller's release, so once
+// the count reaches zero nothing reads the replicate again.
 func (r *replicate) release() {
 	if r.pending.Add(-1) == 0 {
-		r.trace = nil
+		r.trace, r.schedule, r.baselines = nil, nil, nil
 	}
 }
 
@@ -316,39 +364,22 @@ func (e *Engine) buildDeployed(ps PolicySpec, seed uint64) (*core.Deployed, stri
 	return d, ""
 }
 
-// runPoint simulates one scenario on its replicate's trace. Everything
-// the simulation mutates — schedule, device, storage, runtime — is
-// constructed locally from the point's derived seed; the trace and the
-// deployment are shared read-only (the deployment is built fresh when
-// deployed is nil). The grid's named backend wins over the engine
-// default.
-func runPoint(ctx context.Context, g *Grid, p Point, trace *energy.Trace, deployed *core.Deployed, defaultBackend core.InferBackend, schedule ScheduleBuilder) Result {
+// runPoint runs the proposed runtime at one point on its replicate's
+// trace and schedule, which get has built, then appends the baseline
+// rows of the point's (replicate, device, storage) triple when the grid
+// runs baselines: ours, SonicNet, SpArSeNet, LeNet-Cifar. Everything
+// the runtime mutates — device, storage, runtime — is constructed
+// locally; the trace, schedule and deployment are shared read-only.
+// The grid's named backend wins over the engine default.
+func runPoint(ctx context.Context, g *Grid, p Point, rep *replicate, deployed *core.Deployed, defaultBackend core.InferBackend) Result {
 	res := Result{Point: p}
 	store := p.Storage.Storage // copy; simulations mutate the charge state
 	sc := &core.Scenario{
-		Trace:    trace,
-		Schedule: schedule(g.events(), trace.Duration(), g.classes(), p.RunSeed),
+		Trace:    rep.trace,
+		Schedule: rep.schedule,
 		Device:   p.Device.Build(),
 		Storage:  &store,
 		Seed:     p.RunSeed,
-	}
-	if deployed == nil {
-		// Direct runPoint use outside RunContext's hoisted-deployment
-		// path: resolve exactly like Engine.buildDeployed, including the
-		// nil-deployment error.
-		if p.Policy.Deployed != nil {
-			if deployed = p.Policy.Deployed(); deployed == nil {
-				res.Err = fmt.Sprintf("exper: policy %q returned a nil deployment", p.Policy.Name)
-				return res
-			}
-		} else {
-			d, err := core.BuildDeployed(p.Policy.Build(), p.DeploySeed)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			deployed = d
-		}
 	}
 	backend := defaultBackend
 	if g.Backend != "" {
@@ -359,23 +390,26 @@ func runPoint(ctx context.Context, g *Grid, p Point, trace *energy.Trace, deploy
 		}
 	}
 	cfg := core.CompareConfig{Mode: p.Exit.Mode, WarmupEpisodes: p.Exit.Warmup, Backend: backend}
-
-	if g.Baselines {
-		rows, err := core.CompareSystems(ctx, sc, deployed, cfg)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Rows = rows
-		return res
-	}
-	rep, err := core.RunProposed(ctx, sc, deployed, cfg)
+	report, err := core.RunProposed(ctx, sc, deployed, cfg)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	row := core.ReportRow(rep)
+	row := core.ReportRow(report)
 	row.System = "Our Approach"
-	res.Rows = []core.SystemRow{row}
+	rows := []core.SystemRow{row}
+	if g.Baselines {
+		base, msg := rep.baselineRows(ctx, g, p)
+		if msg != "" {
+			res.Err = msg
+			return res
+		}
+		for _, b := range base {
+			// Each point owns its copy; the triple's rows stay unaliased.
+			b.ExitShares = slices.Clone(b.ExitShares)
+			rows = append(rows, b)
+		}
+	}
+	res.Rows = rows
 	return res
 }

@@ -3,6 +3,7 @@ package exper
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -170,8 +171,11 @@ func TestValidateRejectsEmptyAxes(t *testing.T) {
 
 func TestPaperCompareGridMatchesCompareSystems(t *testing.T) {
 	// The engine's one-point paper grid must agree with driving core
-	// directly at the same derived seed — the engine adds scheduling, not
-	// semantics.
+	// directly — the engine adds scheduling, not semantics. The reference
+	// scenario takes its trace and schedule from the point's
+	// ReplicateSeed and its runtime seed from RunSeed; a one-point grid's
+	// point is its own replicate, so the two seeds are equal and the
+	// baselines' draws match too.
 	grid := PaperCompareGrid(42, 2, core.PolicyQLearning)
 	grid.Events = 60
 	grid.Traces = []TraceSpec{SolarTrace(1800, 0.04)}
@@ -187,23 +191,35 @@ func TestPaperCompareGridMatchesCompareSystems(t *testing.T) {
 	}
 
 	p := grid.Points()[0]
-	sched, err := LookupSchedule(grid.Schedule)
+	if p.ReplicateSeed != p.RunSeed {
+		t.Fatalf("one-point grid: replicate seed %#x, run seed %#x", p.ReplicateSeed, p.RunSeed)
+	}
+	newSchedule, err := LookupSchedule(grid.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := p.Trace.Build(p.TraceSeed)
+	trace, err := p.Trace.Build(p.ReplicateSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := runPoint(context.Background(), grid, p, trace, nil, core.BackendPlan, sched)
-	if direct.Err != "" {
-		t.Fatal(direct.Err)
+	deployed, err := core.BuildDeployed(p.Policy.Build(), p.DeploySeed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, row := range res.Results[0].Rows {
-		d := direct.Rows[i]
-		if row.System != d.System || row.IEpmJ != d.IEpmJ || row.AccAll != d.AccAll ||
-			row.MeanLatencyS != d.MeanLatencyS {
-			t.Fatalf("row %d differs: %+v vs %+v", i, row, d)
-		}
+	store := p.Storage.Storage
+	sc := &core.Scenario{
+		Trace:    trace,
+		Schedule: newSchedule(grid.events(), trace.Duration(), grid.classes(), p.ReplicateSeed),
+		Device:   p.Device.Build(),
+		Storage:  &store,
+		Seed:     p.RunSeed,
+	}
+	direct, err := core.CompareSystems(context.Background(), sc, deployed,
+		core.CompareConfig{Mode: p.Exit.Mode, WarmupEpisodes: p.Exit.Warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Results[0].Rows, direct) {
+		t.Fatalf("grid rows differ from CompareSystems:\n%+v\n%+v", res.Results[0].Rows, direct)
 	}
 }

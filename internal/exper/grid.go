@@ -26,8 +26,9 @@ const (
 // TraceSpec declaratively describes one energy trace axis value. It is
 // pure data (JSON-serializable) so a grid can be logged alongside its
 // results; the trace itself is materialized once per replicate (one
-// trace-axis value and one Seeds position) from Point.TraceSeed and
-// shared read-only by every point of the replicate.
+// trace-axis value and one Seeds position) from Point.ReplicateSeed,
+// together with the replicate's event schedule, and shared read-only by
+// every point of the replicate.
 type TraceSpec struct {
 	// Name labels the axis value in tables and aggregation keys.
 	Name string    `json:"name"`
@@ -103,7 +104,8 @@ func KineticTrace(seconds int, burstMW float64) TraceSpec {
 }
 
 // DeviceSpec names one MCU axis value. Build constructs a fresh device
-// per point so concurrent points never share model state.
+// for each simulation (a point's runtime, a triple's baselines), so
+// concurrent simulations never share model state.
 type DeviceSpec struct {
 	Name  string             `json:"name"`
 	Build func() *mcu.Device `json:"-"`
@@ -147,8 +149,8 @@ type ExitSpec struct {
 	Warmup int `json:"warmup,omitempty"`
 }
 
-// StorageSpec names one capacitor axis value. The Storage is copied per
-// point, so the template is never mutated by a simulation.
+// StorageSpec names one capacitor axis value. The Storage is copied for
+// each simulation, so the template is never mutated by one.
 type StorageSpec struct {
 	Name    string         `json:"name"`
 	Storage energy.Storage `json:"storage"`
@@ -175,20 +177,24 @@ type Grid struct {
 	// BaseSeed perturbs every point's derived seed, so two grids with the
 	// same axes but different base seeds are independent replications.
 	BaseSeed uint64 `json:"baseSeed"`
-	// Events is the number of schedule events per point (default 500).
+	// Events is the number of events in each replicate's schedule
+	// (default 500).
 	Events int `json:"events,omitempty"`
 	// EventClasses is the label alphabet size (default 10).
 	EventClasses int `json:"eventClasses,omitempty"`
-	// Baselines additionally runs SonicNet, SpArSeNet, and LeNet-Cifar on
-	// every point (3 extra simulations per point).
+	// Baselines adds SonicNet, SpArSeNet, and LeNet-Cifar rows to every
+	// point. They read nothing of a point's policy or exit, so they run
+	// once per (replicate, device, storage) triple — 3 simulations per
+	// triple — and every point of the triple carries the same rows.
 	Baselines bool `json:"baselines,omitempty"`
 	// Backend names the empirical-mode inference backend ("plan" — the
 	// default compiled zero-allocation plan —, "legacy", or "int8"; see
 	// core.BackendNames). Surrogate-mode points never execute the
 	// network, so it only affects grids whose runs attach samples.
 	Backend string `json:"backend,omitempty"`
-	// Schedule names the event-schedule generator applied per point
-	// ("" = "uniform"; see ScheduleNames and RegisterSchedule).
+	// Schedule names the event-schedule generator, called once per
+	// replicate ("" = "uniform"; see ScheduleNames and
+	// RegisterSchedule).
 	Schedule string `json:"schedule,omitempty"`
 
 	Traces   []TraceSpec   `json:"traces"`
@@ -288,18 +294,23 @@ type Point struct {
 	Storage StorageSpec `json:"storage"`
 	// Seed is the user-visible replicate seed from the grid's Seeds axis.
 	Seed uint64 `json:"seed"`
-	// RunSeed is the derived seed that drives the point's schedule and
-	// runtime RNG streams. It is a pure function of (BaseSeed, Index,
-	// Seed) — never of shared state or scheduling order — which is what
-	// makes engine output independent of the worker count.
+	// RunSeed is the derived seed that drives the proposed runtime's RNG
+	// (exploration and surrogate correctness draws). It is a pure
+	// function of (BaseSeed, Index, Seed) — never of shared state or
+	// scheduling order — which is what makes engine output independent
+	// of the worker count.
 	RunSeed uint64 `json:"runSeed"`
-	// TraceSeed seeds the energy trace the point runs on. A replicate —
-	// one trace-axis position and one Seeds position — runs all its
-	// points, whatever their device, policy, exit or storage, on one
-	// trace, seeded with the RunSeed of its lowest-index point. In a grid
-	// whose other axes have one value each, every point is its own
-	// replicate and TraceSeed equals RunSeed.
-	TraceSeed uint64 `json:"traceSeed"`
+	// ReplicateSeed seeds what the point shares with its replicate — one
+	// trace-axis position and one Seeds position: the energy trace, the
+	// event schedule and the baselines' correctness draws. All of a
+	// replicate's points, whatever their device, policy, exit or storage,
+	// run on one trace and one schedule, as the paper's §V runs its
+	// systems; the points of one (replicate, device, storage) triple also
+	// share one set of baseline rows. It is the RunSeed of the
+	// replicate's lowest-index point. In a grid whose other axes have one
+	// value each, every point is its own replicate and ReplicateSeed
+	// equals RunSeed.
+	ReplicateSeed uint64 `json:"replicateSeed"`
 	// DeploySeed drives the deployment (network init + compression). It
 	// depends only on (BaseSeed, policy index): the paper deploys ONE
 	// compressed model and varies the conditions around it, so all points
@@ -337,6 +348,15 @@ func (g *Grid) replicateOf(idx int) int {
 	return idx/g.traceBlock()*len(g.Seeds) + idx%len(g.Seeds)
 }
 
+// baselineOf numbers the point's (device, storage) pair within its
+// replicate: device position × len(Storages) + storage position.
+func (g *Grid) baselineOf(idx int) int {
+	perStorage := len(g.Seeds)
+	perDevice := len(g.Policies) * len(g.Exits) * len(g.Storages) * perStorage
+	di := idx / perDevice % len(g.Devices)
+	return di*len(g.Storages) + idx/perStorage%len(g.Storages)
+}
+
 // Points enumerates the cross product in deterministic row-major order.
 func (g *Grid) Points() []Point {
 	pts := make([]Point, 0, g.Size())
@@ -354,9 +374,9 @@ func (g *Grid) Points() []Point {
 							pts = append(pts, Point{
 								Index: idx, Trace: tr, Device: dev, Policy: pol,
 								Exit: ex, Storage: st, Seed: seed,
-								RunSeed:    deriveSeed(g.BaseSeed, uint64(idx), seed),
-								TraceSeed:  deriveSeed(g.BaseSeed, uint64(ti*block+si), seed),
-								DeploySeed: g.DeploySeedFor(pi),
+								RunSeed:       deriveSeed(g.BaseSeed, uint64(idx), seed),
+								ReplicateSeed: deriveSeed(g.BaseSeed, uint64(ti*block+si), seed),
+								DeploySeed:    g.DeploySeedFor(pi),
 							})
 							idx++
 						}

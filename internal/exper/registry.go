@@ -53,8 +53,8 @@ var (
 	}
 
 	// traceRegistry maps named trace builders usable via TraceSpec kind
-	// "registered". The builder receives the replicate's trace seed
-	// (Point.TraceSeed).
+	// "registered". The builder receives the replicate's seed
+	// (Point.ReplicateSeed).
 	traceRegistry = map[string]TraceBuilder{
 		"paper-solar": func(seed uint64) (*energy.Trace, error) {
 			return energy.SyntheticSolarTrace(energy.SolarConfig{
@@ -86,12 +86,17 @@ var (
 )
 
 // TraceBuilder materializes a registered trace axis value from the grid
-// replicate's trace seed (Point.TraceSeed). Builders must be
-// deterministic in the seed and safe for concurrent use.
+// replicate's seed (Point.ReplicateSeed). A grid calls it once per
+// replicate, and every point of the replicate runs on the trace.
+// Builders must be deterministic in the seed and safe for concurrent
+// use.
 type TraceBuilder func(seed uint64) (*energy.Trace, error)
 
-// ScheduleBuilder generates a point's event schedule. Builders must be
-// deterministic in their arguments and safe for concurrent use.
+// ScheduleBuilder generates an event schedule. A grid calls it once per
+// replicate, with the replicate's trace duration and seed
+// (Point.ReplicateSeed), and every point of the replicate, baselines
+// included, runs on the schedule. Builders must be deterministic in
+// their arguments and safe for concurrent use.
 type ScheduleBuilder func(events, durationSeconds, classes int, seed uint64) *energy.Schedule
 
 func register[V any](m map[string]V, kind, name string, v V, zero func(V) bool) error {

@@ -75,11 +75,13 @@ func (g *gridEngine) resume(lines [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("journal line %d: point %d run seed %d does not match grid's %d",
 				i+1, idx, res.Point.RunSeed, points[idx].RunSeed)
 		}
-		if points[idx].TraceSeed != res.Point.TraceSeed {
-			// Likewise for the trace. A line without one was written when
-			// each point built its own trace, which this grid does not.
-			return nil, fmt.Errorf("journal line %d: point %d trace seed %d does not match grid's %d",
-				i+1, idx, res.Point.TraceSeed, points[idx].TraceSeed)
+		if points[idx].ReplicateSeed != res.Point.ReplicateSeed {
+			// Likewise for what the point shares with its replicate. A
+			// line without a replicate seed was written when points built
+			// their own schedules and baselines (and, before that, their
+			// own traces), which this grid does not.
+			return nil, fmt.Errorf("journal line %d: point %d replicate seed %d does not match grid's %d",
+				i+1, idx, res.Point.ReplicateSeed, points[idx].ReplicateSeed)
 		}
 		if _, dup := g.completed[idx]; !dup {
 			restored = append(restored, line)

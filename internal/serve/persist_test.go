@@ -278,10 +278,12 @@ func TestCanceledJobNotResumed(t *testing.T) {
 }
 
 // TestJournalWithoutTraceSeedsNotResumed: a grid journal whose point
-// lines carry no traceSeed was written when every point built its own
-// trace. Resuming it would mix points run on those traces with points
-// run on shared ones, so the next boot drops it: the job answers 404
-// and its journal is gone.
+// lines carry no replicateSeed was written before a replicate's points
+// shared their trace, schedule and baseline rows: with no seed field,
+// when every point built its own trace, or with a traceSeed, when only
+// the trace was shared. Resuming either would mix two semantics in one
+// document, so the next boot drops the journal: the job answers 404 and
+// its journal is gone.
 func TestJournalWithoutTraceSeedsNotResumed(t *testing.T) {
 	var spec ehinfer.GridSpec
 	if err := json.Unmarshal([]byte(fastSpec), &spec); err != nil {
@@ -295,55 +297,72 @@ func TestJournalWithoutTraceSeedsNotResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	header, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := st.NewJobJournal("g1", header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Journal the first half of the points as they were written before
-	// points carried a trace seed.
-	for _, r := range res.Results[:len(res.Results)/2] {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fields, point map[string]json.RawMessage
-		if err := json.Unmarshal(line, &fields); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(fields["point"], &point); err != nil {
-			t.Fatal(err)
-		}
-		delete(point, "traceSeed")
-		if fields["point"], err = json.Marshal(point); err != nil {
-			t.Fatal(err)
-		}
-		if line, err = json.Marshal(fields); err != nil {
-			t.Fatal(err)
-		}
-		if err := journal.Append(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	sv, ts := durableServer(t, dir, 1)
-	defer shutdownServer(t, sv, ts)
-	if code, body := getBody(t, ts.URL+"/v1/grids/g1"); code != http.StatusNotFound {
-		t.Fatalf("journal without trace seeds resumed: %d %s", code, body)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", "g1.journal")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("refused journal still on disk: %v", err)
+	for _, tc := range []struct {
+		name string
+		// old rewrites a point's JSON fields the way the older journal
+		// wrote them.
+		old func(point map[string]json.RawMessage)
+	}{
+		{"no seed field", func(point map[string]json.RawMessage) {
+			delete(point, "replicateSeed")
+		}},
+		{"trace seed only", func(point map[string]json.RawMessage) {
+			point["traceSeed"] = point["replicateSeed"]
+			delete(point, "replicateSeed")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal, err := st.NewJobJournal("g1", header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Journal the first half of the points, each its replicate's
+			// lowest, so its seed values match the spec's.
+			for _, r := range res.Results[:len(res.Results)/2] {
+				line, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fields, point map[string]json.RawMessage
+				if err := json.Unmarshal(line, &fields); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(fields["point"], &point); err != nil {
+					t.Fatal(err)
+				}
+				tc.old(point)
+				if fields["point"], err = json.Marshal(point); err != nil {
+					t.Fatal(err)
+				}
+				if line, err = json.Marshal(fields); err != nil {
+					t.Fatal(err)
+				}
+				if err := journal.Append(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := journal.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sv, ts := durableServer(t, dir, 1)
+			defer shutdownServer(t, sv, ts)
+			if code, body := getBody(t, ts.URL+"/v1/grids/g1"); code != http.StatusNotFound {
+				t.Fatalf("journal without replicate seeds resumed: %d %s", code, body)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "jobs", "g1.journal")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refused journal still on disk: %v", err)
+			}
+		})
 	}
 }

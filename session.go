@@ -174,9 +174,10 @@ func (s *Session) StartGrid(ctx context.Context, g *ExperimentGrid) *GridRun {
 // ResumeGrid is StartGrid for a checkpointed run: completed maps point
 // index to its already-finished result. Restored points are filled into
 // the final GridResult verbatim and never re-run or re-streamed; only
-// the remaining points execute. Because each point's RNG derives from
-// (BaseSeed, Index, Seed) alone, the final result is byte-identical to
-// an uninterrupted run's.
+// the remaining points execute. Because each point's RNG, and its
+// replicate's trace, schedule and baseline rows, derive from the grid's
+// seeds alone, the final result is byte-identical to an uninterrupted
+// run's.
 func (s *Session) ResumeGrid(ctx context.Context, g *ExperimentGrid, completed map[int]ExperimentResult) *GridRun {
 	return s.startGrid(ctx, g, completed)
 }
