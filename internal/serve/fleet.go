@@ -107,10 +107,15 @@ func (e *fleetEngine) run(ctx context.Context, session *ehinfer.Session, emit fu
 		emit(snap, true)
 	}
 	res, err := fr.Wait()
-	if err != nil || res == nil {
+	if res == nil {
 		return outcome{}, err
 	}
-	doc, err := res.JSON()
+	// A canceled run still serves the partial document of the epochs it
+	// completed, as a canceled grid does.
+	doc, jerr := res.JSON()
+	if err == nil {
+		err = jerr
+	}
 	return outcome{doc: doc}, err
 }
 
