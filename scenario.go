@@ -61,6 +61,9 @@ func (b *ScenarioBuilder) Seed(seed uint64) *ScenarioBuilder {
 // Solar selects a synthetic solar trace of the given duration and
 // clear-sky peak power (0 = generator defaults).
 func (b *ScenarioBuilder) Solar(hours, peakMW float64) *ScenarioBuilder {
+	if !(hours >= 0) {
+		return b.fail(fmt.Errorf("ehinfer: solar trace needs non-negative hours, got %g", hours))
+	}
 	b.trace = func(seed uint64) (*energy.Trace, error) {
 		return energy.SyntheticSolarTrace(energy.SolarConfig{
 			Seconds: int(hours * 3600), PeakPower: peakMW, Seed: seed,
@@ -71,6 +74,9 @@ func (b *ScenarioBuilder) Solar(hours, peakMW float64) *ScenarioBuilder {
 
 // Kinetic selects a synthetic bursty kinetic trace.
 func (b *ScenarioBuilder) Kinetic(hours, burstMW float64) *ScenarioBuilder {
+	if !(hours >= 0) {
+		return b.fail(fmt.Errorf("ehinfer: kinetic trace needs non-negative hours, got %g", hours))
+	}
 	b.trace = func(seed uint64) (*energy.Trace, error) {
 		return energy.SyntheticKineticTrace(energy.KineticConfig{
 			Seconds: int(hours * 3600), BurstPower: burstMW, Seed: seed,

@@ -104,6 +104,12 @@ func TestScenarioBuilderErrors(t *testing.T) {
 	if _, err := NewScenario().TraceCSV("/does/not/exist.csv").Build(); err == nil {
 		t.Error("missing trace file must fail at Build")
 	}
+	if _, err := NewScenario().Solar(-1, 0.05).Build(); err == nil {
+		t.Error("negative solar hours must fail")
+	}
+	if _, err := NewScenario().Kinetic(-1, 0.9).Build(); err == nil {
+		t.Error("negative kinetic hours must fail")
+	}
 }
 
 // TestFromImageDataValidates covers the shape-naming error (the old
