@@ -26,15 +26,15 @@ test:
 	$(GO) test ./...
 
 ## test-cpu: run the batched-executor, micro-batching-queue, fleet,
-## Q-learning and intermittent-engine packages at GOMAXPROCS 1 and 4,
-## twice each, so a single-core machine cannot hide a concurrency bug in
-## the multi-lane walk, the dispatcher or the fleet's sharding, and state
-## cannot leak between re-runs of the episode kernel. Narrow on purpose:
-## the write-once registries are process globals, so a whole-suite
-## -count=2 pass fails on "already registered"; internal/core stays out
-## because it takes over a minute per pass
+## Q-learning, intermittent-engine, runtime and energy packages at
+## GOMAXPROCS 1 and 4, twice each, so a single-core machine cannot hide
+## a concurrency bug in the multi-lane walk, the dispatcher or the
+## fleet's sharding, and state cannot leak between re-runs of the
+## episode kernel or the harvest loop. Narrow on purpose: the write-once
+## registries are process globals, so a whole-suite -count=2 pass fails
+## on "already registered"
 test-cpu:
-	$(GO) test -count=2 -cpu 1,4 ./internal/plan/ ./internal/batch/ ./internal/fleet/ ./internal/qlearn/ ./internal/intermittent/
+	$(GO) test -count=2 -cpu 1,4 ./internal/plan/ ./internal/batch/ ./internal/fleet/ ./internal/qlearn/ ./internal/intermittent/ ./internal/core/ ./internal/energy/
 
 ## race: run the full test suite under the race detector
 race:
