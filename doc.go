@@ -28,10 +28,11 @@
 //
 //   - the parallel experiment engine (internal/exper): declarative
 //     scenario grids — energy trace × MCU device × compression policy ×
-//     exit policy × seed — sharded across a goroutine worker pool with
-//     per-point seed derivation and one read-only trace per (trace,
-//     seed) replicate shared across the other axes, so grid results are
-//     bit-identical at any worker count; the tensor kernels underneath
+//     exit policy × seed — sharded across a goroutine worker pool with a
+//     per-point runtime seed, and one read-only trace and event schedule
+//     per (trace, seed) replicate, plus one baseline run per replicate,
+//     device and capacitor, shared across the other axes, so grid
+//     results are bit-identical at any worker count; the tensor kernels underneath
 //     (row-band parallel MatMul, pooled im2col-GEMM conv) spread single
 //     inferences across cores as well;
 //
