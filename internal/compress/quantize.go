@@ -81,8 +81,11 @@ func quantError(w []float32, s, lb, ub float64) float64 {
 		} else if q > ub {
 			q = ub
 		}
-		d := float64(v) - q*s
-		e += d * d
+		// The explicit conversions forbid fusing the products into the
+		// sums, so the chosen scale, and the int8 weights lowered with
+		// it, are the same on every platform.
+		d := float64(v) - float64(q*s)
+		e += float64(d * d)
 	}
 	return e
 }

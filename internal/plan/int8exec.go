@@ -22,7 +22,10 @@ func (e *Exec) inferToInt8(dst *State, img *tensor.Tensor, exit int) {
 	// fixed.QuantizeActivations(img, 1, 8).
 	cur := e.bufA8[:p.geom.Vol()]
 	for i, v := range img.Data {
-		f := v * 255
+		// The conversion rounds the product before the +0.5 below: a
+		// fused multiply-add would round once and could pick another
+		// code on a platform that fuses.
+		f := float32(v * 255)
 		switch {
 		case !(f > 0): // negatives and NaN clamp to the zero code
 			cur[i] = 0
