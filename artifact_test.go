@@ -21,9 +21,10 @@ const goldenArtifactPath = "testdata/golden_two_exit.ehar"
 // builder-made two-exit network (so the checked-in file stays small —
 // the full LeNet-EE path is covered by TestSaveLoadRunParity),
 // compressed with a uniform policy, int8 calibration pinned from fixed
-// random images, int8 default backend. Everything is a pure function of
-// the constants below, so the encoded bytes are reproducible on any
-// machine; every optional manifest field is populated.
+// random images, int8fast default backend. Everything is a pure
+// function of the constants below, so the encoded bytes are
+// reproducible on any machine; every optional manifest field is
+// populated.
 func goldenBundle(t testing.TB) *DeploymentBundle {
 	t.Helper()
 	b := NewNetworkBuilder(1, 16, 16, 4)
@@ -43,7 +44,7 @@ func goldenBundle(t testing.TB) *DeploymentBundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.DefaultBackend = BackendInt8
+	d.DefaultBackend = BackendInt8Fast
 	rng := NewRNG(9)
 	var imgs []*Tensor
 	for i := 0; i < 4; i++ {
@@ -90,7 +91,7 @@ func TestGoldenArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Name != want.Name || got.Deployed.WeightBytes != want.Deployed.WeightBytes ||
-		got.Deployed.DefaultBackend != BackendInt8 || got.Policy == nil {
+		got.Deployed.DefaultBackend != BackendInt8Fast || got.Policy == nil {
 		t.Fatal("golden artifact decoded with wrong contents")
 	}
 }

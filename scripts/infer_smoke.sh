@@ -59,10 +59,10 @@ awk 'BEGIN {
 curl -sf -X POST --data-binary @"$TMP/request.json" "$BASE/v1/infer" >"$TMP/response.json"
 
 # The decoded prediction must carry a class in [0,4), the exit taken,
-# and the int8 backend the golden artifact pins as its default.
+# and the int8fast backend the golden artifact pins as its default.
 grep -Eq '"class":[0-3][,}]' "$TMP/response.json" || { echo "infer-smoke: no decodable class:"; cat "$TMP/response.json"; exit 1; }
 grep -Eq '"exit":[01][,}]' "$TMP/response.json" || { echo "infer-smoke: no exit taken:"; cat "$TMP/response.json"; exit 1; }
-grep -q '"backend":"int8"' "$TMP/response.json" || { echo "infer-smoke: wrong backend:"; cat "$TMP/response.json"; exit 1; }
+grep -q '"backend":"int8fast"' "$TMP/response.json" || { echo "infer-smoke: wrong backend:"; cat "$TMP/response.json"; exit 1; }
 
 # And the stats endpoint must account for it.
 curl -sf "$BASE/v1/stats" >"$TMP/stats.json"
