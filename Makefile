@@ -6,12 +6,12 @@ GO ?= go
 # The root-package micro benchmark set (micro_bench_test.go +
 # serve_bench_test.go); bench-json archives exactly these so the perf
 # trajectory is comparable PR to PR.
-MICROBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|InferBatched1|InferBatched4|InferBatched16|InferBatched1Int8Fast|InferBatched4Int8Fast|InferBatched16Int8Fast|ServerInferThroughput|LegacyInferToExit3|IncrementalResume|LegacyIncrementalResume|PlanCompile|PlanCompileInt8Fast|TrainStep|ApplyCompressionPolicy|QuantizeWeights8bit|QTableUpdate|SolarTraceGeneration|SynthCIFARSample|EngineRunToCompletion|FullSimulationEpisode|FleetStep|FleetShard)$$
+MICROBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8Fast|InferBatched1|InferBatched4|InferBatched16|InferBatched1Int8Fast|InferBatched4Int8Fast|InferBatched16Int8Fast|ServerInferThroughput|LegacyInferToExit3|IncrementalResume|LegacyIncrementalResume|PlanCompile|PlanCompileInt8Fast|TrainStep|ApplyCompressionPolicy|QuantizeWeights8bit|QTableUpdate|SolarTraceGeneration|SynthCIFARSample|EngineRunToCompletion|FullSimulationEpisode|FleetStep|FleetShard)$$
 BENCH_JSON ?= BENCH_pr10.json
 
 # The hot-path subset bench-smoke gates in CI: a kernel regression that
 # breaks inference or the episode loop fails the build.
-SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
+SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
 .PHONY: all build test test-cpu race bench bench-smoke bench-json fuzz-smoke artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
@@ -59,11 +59,13 @@ bench-json:
 
 ## fuzz-smoke: run each fuzz target for 20 s: the /v1/infer
 ## single-pass decoder against encoding/json, the artifact decoder, and
-## the int8fast requantizer. go test -fuzz takes one target per run.
+## the integer pipeline's fixed-point requantization (requantFix31's
+## exact (mul, shift) pair and the packed GEMM's fused epilogue against
+## math/big). go test -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=20s ./internal/artifact
-	$(GO) test -run='^$$' -fuzz='^FuzzRequantU8$$' -fuzztime=20s ./internal/plan
+	$(GO) test -run='^$$' -fuzz='^FuzzRequantFix31$$' -fuzztime=20s ./internal/plan
 
 ## artifact-check: decode the checked-in golden deployment artifact
 ## (wire-format gate: drift without a deliberate version bump fails) and

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/energy"
 	"repro/internal/exper"
-	"repro/internal/fixed"
 	"repro/internal/fleet"
 	"repro/internal/mcu"
 	"repro/internal/metrics"
@@ -190,22 +189,21 @@ const (
 // Inference backends. The zero value BackendDefault means "no explicit
 // choice" and resolves to BackendPlan: a compiled zero-allocation
 // inference plan whose float32 output is bit-identical to the legacy
-// layer walk. BackendInt8 runs the fixed-point pipeline (int8 weights,
-// uint8 activations, int32 accumulators) — faster on integer hardware
-// and numerically closer to the deployed MCU, at the cost of exactness;
-// BackendInt8Fast runs the packed-weight integer pipeline, the fastest
-// backend, holding statistical (per-exit accuracy) rather than bitwise
-// parity with the float plan; BackendLegacy is the original layer walk.
+// layer walk. BackendInt8Fast runs the integer pipeline the MCU
+// executes (int8 weights packed into dual-lane panels, uint8
+// activations, int32 accumulators, fixed-point requantization): the
+// fastest backend, its logits a deterministic function of weights and
+// input, holding statistical (per-exit accuracy) rather than bitwise
+// parity with the float plan. BackendLegacy is the original layer walk.
 const (
 	BackendDefault  = core.BackendDefault
 	BackendPlan     = core.BackendPlan
 	BackendLegacy   = core.BackendLegacy
-	BackendInt8     = core.BackendInt8
 	BackendInt8Fast = core.BackendInt8Fast
 )
 
-// ParseBackend resolves a backend name ("plan"/"float32", "legacy",
-// "int8", "int8fast"); "" yields BackendDefault.
+// ParseBackend resolves a backend name ("plan" or its alias "float32",
+// "legacy", "int8fast" or its alias "int8"); "" yields BackendDefault.
 func ParseBackend(name string) (InferBackend, error) { return core.ParseBackend(name) }
 
 // BackendNames lists the canonical inference-backend names.
@@ -246,35 +244,6 @@ type NetworkBuilder = multiexit.Builder
 // NewNetworkBuilder starts a builder for inC×inH×inW inputs.
 func NewNetworkBuilder(inC, inH, inW, classes int) *NetworkBuilder {
 	return multiexit.NewBuilder(inC, inH, inW, classes)
-}
-
-// LoweredNetwork is a multi-exit network lowered to integer (int8-class)
-// inference kernels — the artifact a real MCU deployment flashes.
-type LoweredNetwork = fixed.LoweredNetwork
-
-// LowerToInteger lowers a (possibly compressed) network to the integer
-// pipeline with the given default bitwidths (8/8 when zero). Calibration
-// images (CHW, optional) set each layer's requantization range from the
-// observed float activations — strongly recommended for trained networks.
-func LowerToInteger(net *Network, weightBits, actBits int, calibration ...*Tensor) (*LoweredNetwork, error) {
-	return fixed.Lower(net, fixed.LowerConfig{
-		WeightBits:  weightBits,
-		ActBits:     actBits,
-		Calibration: calibration,
-	})
-}
-
-// LowerDeployed lowers a deployment — typically one restored from an
-// artifact — to the integer pipeline using the deployment's pinned int8
-// calibration scales, so the flashed network quantizes exactly like the
-// deployment it came from even when the calibration images are long
-// gone. Bitwidths 0 default to 8/8.
-func LowerDeployed(d *Deployed, weightBits, actBits int) (*LoweredNetwork, error) {
-	return fixed.Lower(d.Net, fixed.LowerConfig{
-		WeightBits: weightBits,
-		ActBits:    actBits,
-		Scales:     d.Int8Calibration,
-	})
 }
 
 // TrainNetwork jointly trains all exits on a dataset.

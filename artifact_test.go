@@ -127,7 +127,8 @@ func parityScenario(t *testing.T) (*Scenario, *Deployed) {
 // TestSaveLoadRunParity is the round-trip guarantee of the artifact
 // redesign: SaveDeployed → LoadDeployed → RunProposed produces a
 // byte-identical report JSON to the never-serialized deployment, on
-// every inference backend — plan, legacy, and int8.
+// every inference backend — plan, legacy, and the integer backend,
+// named here by its "int8" alias.
 func TestSaveLoadRunParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical parity test skipped in -short")
@@ -152,9 +153,12 @@ func TestSaveLoadRunParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, backend := range []InferBackend{BackendPlan, BackendLegacy, BackendInt8} {
-		backend := backend
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, name := range []string{"plan", "legacy", "int8"} {
+		backend, err := ParseBackend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := CompareConfig{WarmupEpisodes: 2, Backend: backend}
 			inProc, err := RunProposed(context.Background(), sc, d, cfg)
 			if err != nil {
@@ -213,8 +217,8 @@ func TestInt8FastPinnedScalesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !orig.Int8Fast() || !rest.Int8Fast() {
-		t.Fatal("pinned fast plans must carry the int8-fast flag")
+	if !orig.Int8() || !rest.Int8() {
+		t.Fatal("pinned plans must be integer plans")
 	}
 	oex, ost := orig.NewExec(), orig.NewState()
 	rex, rst := rest.NewExec(), rest.NewState()
@@ -239,7 +243,7 @@ func TestArtifactDefaultBackendApplies(t *testing.T) {
 		t.Skip("empirical test skipped in -short")
 	}
 	sc, d := parityScenario(t)
-	d.DefaultBackend = BackendInt8
+	d.DefaultBackend = BackendInt8Fast
 	path := filepath.Join(t.TempDir(), "def.ehar")
 	if err := SaveDeployed(path, d); err != nil {
 		t.Fatal(err)
@@ -254,8 +258,8 @@ func TestArtifactDefaultBackendApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Backend() != BackendInt8 {
-		t.Fatalf("runtime backend %v, want the artifact default int8", rt.Backend())
+	if rt.Backend() != BackendInt8Fast {
+		t.Fatalf("runtime backend %v, want the artifact default int8fast", rt.Backend())
 	}
 	rt, err = NewRuntime(restored, RuntimeConfig{
 		Storage: sc.Storage, Device: sc.Device, Seed: sc.Seed, TestSet: sc.TestSet,

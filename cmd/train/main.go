@@ -15,7 +15,7 @@
 //
 //	train [-epochs N] [-train N] [-test N] [-augment N] [-seed N]
 //	      [-cifar dir] [-policy policy.json] [-out model.gob]
-//	      [-save-deployed model.ehar] [-backend plan|legacy|int8]
+//	      [-save-deployed model.ehar] [-backend plan|legacy|int8fast]
 //	      [-name label]
 package main
 
@@ -44,7 +44,7 @@ func main() {
 		policyF  = flag.String("policy", "", "compression policy JSON to apply after training")
 		out      = flag.String("out", "", "output model file (gob, weights only)")
 		deployF  = flag.String("save-deployed", "", "output deployment-artifact file (architecture + weights + accuracies + policy + calibration)")
-		backendF = flag.String("backend", "", "default inference backend recorded in the artifact (plan, legacy, int8)")
+		backendF = flag.String("backend", "", "default inference backend recorded in the artifact (plan, legacy, int8fast; int8 is an alias of int8fast)")
 		nameF    = flag.String("name", "", "artifact label (default: derived from the policy file)")
 	)
 	flag.Parse()
@@ -113,8 +113,8 @@ func main() {
 		}
 		deployed.DefaultBackend = backend
 		// Pin the int8 requantization scales from training samples so
-		// the artifact is self-sufficient on the int8 backend (and never
-		// leaks evaluation data into the quantization).
+		// the artifact is self-sufficient on the int8fast backend (and
+		// never leaks evaluation data into the quantization).
 		deployed.BindInt8Calibration(calibrationImages(train, 8))
 		name := *nameF
 		if name == "" {

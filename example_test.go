@@ -3,6 +3,7 @@ package ehinfer_test
 // Godoc examples: compile-checked documentation for the main API flows.
 
 import (
+	"context"
 	"fmt"
 
 	ehinfer "repro"
@@ -104,11 +105,12 @@ func ExampleSyntheticSolarTrace() {
 	// harvestable: 53.3 mJ
 }
 
-// ExampleLowerToInteger lowers a network to the pure-integer MCU pipeline
-// and runs inference with int8-class arithmetic.
-func ExampleLowerToInteger() {
+// ExampleSession_Infer runs one image through LeNet-EE on the integer
+// pipeline an MCU executes (int8 weights, uint8 activations, int32
+// accumulators) and scores it at every exit.
+func ExampleSession_Infer() {
 	net := ehinfer.LeNetEE(ehinfer.NewRNG(6))
-	lowered, err := ehinfer.LowerToInteger(net, 8, 8)
+	d, err := ehinfer.NewDeployed(net, []float64{0.6, 0.7, 0.8})
 	if err != nil {
 		panic(err)
 	}
@@ -117,15 +119,14 @@ func ExampleLowerToInteger() {
 	for i := range img {
 		img[i] = rng.Float32()
 	}
-	t, err := ehinfer.FromImageData(img)
+	s := ehinfer.NewSession(ehinfer.WithBackend(ehinfer.BackendInt8Fast))
+	pred, err := s.Infer(context.Background(), d, img)
 	if err != nil {
 		panic(err)
 	}
-	st, err := lowered.InferTo(t, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("classes scored:", len(st.Logits))
+	fmt.Println("backend:", pred.Backend)
+	fmt.Println("exits scored:", len(pred.ExitClasses))
 	// Output:
-	// classes scored: 10
+	// backend: int8fast
+	// exits scored: 3
 }

@@ -1,10 +1,11 @@
 // Custom architecture: builds a two-exit network with the fluent
-// builder, trains it, compresses it, lowers it to the pure-integer MCU
+// builder, trains it, compresses it, serves it on the integer MCU
 // pipeline, and verifies float/integer agreement — the full offline
 // deployment path for an architecture other than the paper's LeNet-EE.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,31 +37,34 @@ func main() {
 	accs := ehinfer.EvalExits(net, test)
 	fmt.Printf("float accuracy: early %.1f%%, final %.1f%%\n", 100*accs[0], 100*accs[1])
 
-	// Quantize to 8 bits and lower to the integer pipeline.
+	// Quantize to 8 bits, package the network, and pin the integer
+	// pipeline's requantization scales from training samples.
 	if err := ehinfer.ApplyPolicy(net, ehinfer.UniformPolicy(net, 1.0, 8, 8)); err != nil {
+		log.Fatal(err)
+	}
+	deployed, err := ehinfer.NewDeployed(net, ehinfer.EvalExits(net, test))
+	if err != nil {
 		log.Fatal(err)
 	}
 	var calib []*ehinfer.Tensor
 	for i := 0; i < 16; i++ {
 		calib = append(calib, train.Samples[i].Image)
 	}
-	lowered, err := ehinfer.LowerToInteger(net, 8, 8, calib...)
-	if err != nil {
-		log.Fatal(err)
-	}
+	deployed.BindInt8Calibration(calib)
 
 	// Verify integer inference agrees with float on the test set.
+	session := ehinfer.NewSession(ehinfer.WithBackend(ehinfer.BackendInt8Fast))
 	agree, correct := 0, 0
 	for _, s := range test.Samples {
 		fl := net.InferTo(s.Image, 1)
-		iq, err := lowered.InferTo(s.Image, 1)
+		iq, err := session.Infer(context.Background(), deployed, s.Image.Data)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if fl.Predicted() == iq.Predicted() {
+		if fl.Predicted() == iq.Class {
 			agree++
 		}
-		if iq.Predicted() == s.Label {
+		if iq.Class == s.Label {
 			correct++
 		}
 	}

@@ -121,12 +121,12 @@ func TestSessionInferBackendPreference(t *testing.T) {
 	d := inferDeployed(t)
 	ctx := context.Background()
 
-	i8, err := NewSession(WithBackend(BackendInt8)).Infer(ctx, d, inferInput(1))
+	i8, err := NewSession(WithBackend(BackendInt8Fast)).Infer(ctx, d, inferInput(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i8.Backend != "int8" {
-		t.Fatalf("backend %q, want int8", i8.Backend)
+	if i8.Backend != "int8fast" {
+		t.Fatalf("backend %q, want int8fast", i8.Backend)
 	}
 
 	s := NewSession()

@@ -24,7 +24,7 @@ func testBundle(t *testing.T) *Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.DefaultBackend = core.BackendInt8
+	d.DefaultBackend = core.BackendInt8Fast
 	_, test := dataset.TrainTest(dataset.SynthConfig{Seed: 11}, 2, 6)
 	var imgs []*tensor.Tensor
 	for i := 0; i < 4; i++ {
@@ -67,8 +67,8 @@ func TestRoundTrip(t *testing.T) {
 	if d2.WeightBytes != d.WeightBytes {
 		t.Errorf("weight bytes %d, want %d", d2.WeightBytes, d.WeightBytes)
 	}
-	if d2.DefaultBackend != core.BackendInt8 {
-		t.Errorf("default backend %v, want int8", d2.DefaultBackend)
+	if d2.DefaultBackend != core.BackendInt8Fast {
+		t.Errorf("default backend %v, want int8fast", d2.DefaultBackend)
 	}
 	if !reflect.DeepEqual(d2.Int8Calibration, d.Int8Calibration) {
 		t.Error("int8 calibration diverges")
@@ -164,15 +164,15 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnknownManifestFields: unknown fields signal version
-// skew and must be refused, per the format's version policy.
-func TestDecodeRejectsUnknownManifestFields(t *testing.T) {
-	data := encodeBytes(t, testBundle(t))
+// patchManifest replaces the first occurrence of old in an encoded
+// artifact's manifest with repl and rewrites the manifest length word.
+func patchManifest(t *testing.T, data []byte, old, repl string) []byte {
+	t.Helper()
 	mlen := binary.LittleEndian.Uint32(data[8:12])
 	man := data[12 : 12+int(mlen)]
-	patched := bytes.Replace(man, []byte(`{"name"`), []byte(`{"fromTheFuture":1,"name"`), 1)
-	if len(patched) == len(man) {
-		t.Fatal("manifest patch did not apply")
+	patched := bytes.Replace(man, []byte(old), []byte(repl), 1)
+	if bytes.Equal(patched, man) {
+		t.Fatalf("manifest patch %q did not apply", old)
 	}
 	var out bytes.Buffer
 	out.Write(data[:8])
@@ -181,28 +181,43 @@ func TestDecodeRejectsUnknownManifestFields(t *testing.T) {
 	out.Write(l[:])
 	out.Write(patched)
 	out.Write(data[12+int(mlen):])
-	_, err := Decode(bytes.NewReader(out.Bytes()))
+	return out.Bytes()
+}
+
+// TestDecodeRejectsUnknownManifestFields: unknown fields signal version
+// skew and must be refused, per the format's version policy.
+func TestDecodeRejectsUnknownManifestFields(t *testing.T) {
+	data := patchManifest(t, encodeBytes(t, testBundle(t)), `{"name"`, `{"fromTheFuture":1,"name"`)
+	_, err := Decode(bytes.NewReader(data))
 	if err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Fatalf("expected manifest error for unknown field, got %v", err)
+	}
+}
+
+// TestDecodeInt8BackendAlias: artifacts written with "int8" as their
+// default backend decode onto the integer backend, and re-encode under
+// its canonical name.
+func TestDecodeInt8BackendAlias(t *testing.T) {
+	data := encodeBytes(t, testBundle(t))
+	old := patchManifest(t, data, `"backend":"int8fast"`, `"backend":"int8"`)
+	got, err := Decode(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Deployed.DefaultBackend != core.BackendInt8Fast {
+		t.Fatalf("an \"int8\" manifest decoded to backend %v, want int8fast", got.Deployed.DefaultBackend)
+	}
+	if !bytes.Equal(encodeBytes(t, got), data) {
+		t.Fatal("re-encoding an \"int8\" artifact does not give the canonical bytes")
 	}
 }
 
 // TestDecodeShapeMismatch flips a declared section shape and expects the
 // decode to name the parameter.
 func TestDecodeShapeMismatch(t *testing.T) {
-	data := encodeBytes(t, testBundle(t))
-	mlen := binary.LittleEndian.Uint32(data[8:12])
-	man := data[12 : 12+int(mlen)]
-	// Conv1.W is [6,3,5,5]; declare [6,3,5,6] instead (same text length).
-	patched := bytes.Replace(man, []byte(`"shape":[6,3,5,5]`), []byte(`"shape":[6,3,5,6]`), 1)
-	if bytes.Equal(patched, man) {
-		t.Fatal("shape patch did not apply")
-	}
-	var out bytes.Buffer
-	out.Write(data[:12])
-	out.Write(patched)
-	out.Write(data[12+int(mlen):])
-	_, err := Decode(bytes.NewReader(out.Bytes()))
+	// Conv1.W is [6,3,5,5]; declare [6,3,5,6] instead.
+	data := patchManifest(t, encodeBytes(t, testBundle(t)), `"shape":[6,3,5,5]`, `"shape":[6,3,5,6]`)
+	_, err := Decode(bytes.NewReader(data))
 	if err == nil || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("expected shape mismatch error, got %v", err)
 	}

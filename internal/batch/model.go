@@ -62,21 +62,20 @@ type Prediction struct {
 }
 
 // Model is a deployed network bound to a serving backend: a compiled
-// batched plan (float32 by default, or the packed-weight int8-fast
-// pipeline), per-image executors for the bit-exact int8 reference, or
-// the legacy layer walk for architectures the plan compiler rejects. All
-// methods are safe for concurrent use; execution state is pooled (plan
-// backends) or serialized (the layer walk mutates network internals).
+// batched plan (float32 by default, or the packed-weight int8
+// pipeline), or the legacy layer walk for architectures the plan
+// compiler rejects. All methods are safe for concurrent use; execution
+// state is pooled (plan backends) or serialized (the layer walk mutates
+// network internals).
 type Model struct {
 	d        *core.Deployed
 	backend  core.InferBackend
 	geom     plan.Geometry
 	maxBatch int
 
-	bplan *plan.Plan // batched backends: float32 or int8-fast (nil on bit-exact int8 and legacy)
-	iplan *plan.Plan // bit-exact int8 backend
+	bplan *plan.Plan // float32 or int8 plan (nil on legacy)
 
-	execs sync.Pool  // *batchLane (batched plans) or *int8Lane (bit-exact int8)
+	execs sync.Pool  // *batchLane
 	mu    sync.Mutex // serializes legacy layer-walk execution
 
 	// legacyScratch is the layer walk's softmax scratch; the walk is
@@ -87,19 +86,12 @@ type Model struct {
 	legacyScratch []float32
 }
 
-// batchLane is one pooled float32 execution context: the batched
+// batchLane is one pooled plan execution context: the batched
 // executor plus per-image-slot softmax scratch (per slot because the
 // executor's bands may visit exits for different slots concurrently).
 type batchLane struct {
 	be      *plan.BatchExec
 	scratch [][]float32
-}
-
-// int8Lane is one pooled int8 execution context.
-type int8Lane struct {
-	ex      *plan.Exec
-	st      *plan.State
-	scratch []float32
 }
 
 // DefaultMaxBatch is the micro-batch bound models are built with when
@@ -130,11 +122,6 @@ func NewModel(d *core.Deployed, backend core.InferBackend, maxBatch int) (*Model
 	}
 	m := &Model{d: d, backend: backend, geom: geom, maxBatch: maxBatch}
 	switch backend {
-	case core.BackendInt8:
-		m.iplan, err = d.Int8PlanPinned()
-		if err != nil {
-			return nil, fmt.Errorf("batch: int8 lowering failed: %w", err)
-		}
 	case core.BackendInt8Fast:
 		// The packed-weight integer pipeline batches like float32: its
 		// plan runs through the lane-banded BatchExec below.
@@ -237,12 +224,9 @@ func (m *Model) inferChunk(reqs []Req, preds []Prediction) {
 			ExitConfidences: make([]float64, 0, reqs[i].Exit+1),
 		}
 	}
-	switch {
-	case m.bplan != nil:
+	if m.bplan != nil {
 		m.inferBatched(reqs, preds, maxExit)
-	case m.iplan != nil:
-		m.inferInt8(reqs, preds)
-	default:
+	} else {
 		m.inferLegacy(reqs, preds)
 	}
 	for i := range preds {
@@ -272,19 +256,14 @@ func record(p *Prediction, scratch, logits []float32) {
 }
 
 // inferBatched runs the chunk through a pooled batched executor
-// (float32 or int8-fast plan), scanning every exit up to the chunk
-// bound in one pass.
+// (float32 or int8 plan), scanning every exit up to the chunk bound in
+// one pass.
 func (m *Model) inferBatched(reqs []Req, preds []Prediction, maxExit int) {
 	var ln *batchLane
 	if v := m.execs.Get(); v != nil {
 		ln = v.(*batchLane)
 	} else {
-		be, err := m.bplan.NewBatchExec(m.maxBatch)
-		if err != nil {
-			// Unreachable: bplan is batchable by construction.
-			panic(err)
-		}
-		ln = &batchLane{be: be, scratch: make([][]float32, m.maxBatch)}
+		ln = &batchLane{be: m.bplan.NewBatchExec(m.maxBatch), scratch: make([][]float32, m.maxBatch)}
 		for i := range ln.scratch {
 			ln.scratch[i] = make([]float32, m.d.Net.Classes)
 		}
@@ -299,31 +278,6 @@ func (m *Model) inferBatched(reqs []Req, preds []Prediction, maxExit int) {
 			record(&preds[i], ln.scratch[i], logits)
 		}
 	})
-}
-
-// inferInt8 runs the chunk image by image on pooled int8 executors (the
-// bit-exact integer reference is not batched; see BatchExec).
-func (m *Model) inferInt8(reqs []Req, preds []Prediction) {
-	var ln *int8Lane
-	if v := m.execs.Get(); v != nil {
-		ln = v.(*int8Lane)
-	} else {
-		ln = &int8Lane{
-			ex:      m.iplan.NewExec(),
-			st:      m.iplan.NewState(),
-			scratch: make([]float32, m.d.Net.Classes),
-		}
-	}
-	defer m.execs.Put(ln)
-	for i := range reqs {
-		img := tensor.FromSlice(reqs[i].Input, len(reqs[i].Input))
-		ln.ex.InferTo(ln.st, img, 0)
-		record(&preds[i], ln.scratch, ln.st.Logits())
-		for e := 1; e <= reqs[i].Exit; e++ {
-			ln.ex.Resume(ln.st, e)
-			record(&preds[i], ln.scratch, ln.st.Logits())
-		}
-	}
 }
 
 // inferLegacy walks the layers directly. The walk caches forward state

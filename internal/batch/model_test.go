@@ -111,23 +111,28 @@ func TestModelExitAndThreshold(t *testing.T) {
 // TestModelInt8AndLegacy checks the non-default backends answer and
 // agree with their own single-image reference paths.
 func TestModelInt8AndLegacy(t *testing.T) {
-	// int8: the deployment's pinned-scale plan is the reference.
-	d := testDeployed(t, core.BackendInt8)
+	// int8: a deployment whose default names "int8" serves on the
+	// integer backend, and its pinned-scale plan is the reference.
+	b, err := core.ParseBackend("int8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := testDeployed(t, b)
 	m, err := NewModel(d, core.BackendDefault, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Backend() != core.BackendInt8 {
-		t.Fatalf("backend = %v, want int8 (deployment default)", m.Backend())
+	if m.Backend() != core.BackendInt8Fast {
+		t.Fatalf("backend = %v, want int8fast (deployment default)", m.Backend())
 	}
-	ip, err := d.Int8PlanPinned()
+	ip, err := d.Int8FastPlanPinned()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex, st := ip.NewExec(), ip.NewState()
 	in := testInput(5, m.InputLen())
 	pred := m.Infer(Req{Input: in, Options: Options{Exit: -1}})
-	if pred.Backend != "int8" {
+	if pred.Backend != "int8fast" {
 		t.Fatalf("backend label %q", pred.Backend)
 	}
 	ex.InferTo(st, tensor.FromSlice(in, len(in)), m.NumExits()-1)

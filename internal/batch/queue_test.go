@@ -303,7 +303,7 @@ func TestQueueOnRealModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := NewModel(testDeployed(t, core.BackendInt8), core.BackendDefault, 4)
+	mb, err := NewModel(testDeployed(t, core.BackendInt8Fast), core.BackendDefault, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,14 @@ const (
 	// BackendLegacy walks nn.Sequential layer by layer — the original
 	// path, kept as the semantic reference.
 	BackendLegacy
-	// BackendInt8 runs the compiled int8 pipeline: int8 weights, uint8
-	// activations, int32 accumulators. Faster and closer to what a real
-	// MCU executes, but an approximation of the float result.
-	BackendInt8
-	// BackendInt8Fast runs the packed-weight integer pipeline
-	// (plan.CompileInt8Fast): pre-packed dual-lane weights, fused
-	// integer requantization, batched serving lanes. It holds a
-	// *statistical* parity contract with the float backend (per-exit
-	// accuracy within ε) rather than BackendInt8's bit-exact one, and in
-	// exchange is the fastest backend on a scalar host.
+	// BackendInt8Fast runs the integer pipeline (plan.CompileInt8Fast):
+	// int8 weights pre-packed into dual-lane panels, uint8 activations,
+	// int32 accumulators and a fused fixed-point requantization — the
+	// arithmetic a real MCU executes, with batched serving lanes. Its
+	// logits are a deterministic function of weights and input; against
+	// the float backend it holds a statistical parity contract
+	// (per-exit accuracy within ε), and it is the fastest backend on a
+	// scalar host. "int8" names it too.
 	BackendInt8Fast
 )
 
@@ -48,8 +46,6 @@ func (b InferBackend) String() string {
 		return "plan"
 	case BackendLegacy:
 		return "legacy"
-	case BackendInt8:
-		return "int8"
 	case BackendInt8Fast:
 		return "int8fast"
 	default:
@@ -67,8 +63,8 @@ func (b InferBackend) Resolve() InferBackend {
 }
 
 // ParseBackend resolves a backend name: "" → BackendDefault, "plan" (or
-// its alias "float32") → BackendPlan, plus "legacy", "int8", and
-// "int8fast".
+// its alias "float32") → BackendPlan, "legacy", and "int8fast" (or its
+// alias "int8") → BackendInt8Fast.
 func ParseBackend(name string) (InferBackend, error) {
 	switch name {
 	case "":
@@ -77,9 +73,7 @@ func ParseBackend(name string) (InferBackend, error) {
 		return BackendPlan, nil
 	case "legacy":
 		return BackendLegacy, nil
-	case "int8":
-		return BackendInt8, nil
-	case "int8fast":
+	case "int8fast", "int8":
 		return BackendInt8Fast, nil
 	default:
 		return 0, fmt.Errorf("core: unknown inference backend %q (known: %v)", name, BackendNames())
@@ -88,14 +82,14 @@ func ParseBackend(name string) (InferBackend, error) {
 
 // BackendNames lists the canonical backend names a declarative spec may
 // use.
-func BackendNames() []string { return []string{"int8", "int8fast", "legacy", "plan"} }
+func BackendNames() []string { return []string{"int8fast", "legacy", "plan"} }
 
 // planCache lazily compiles the deployment's float32 inference plan.
 // It lives on the Deployed, which the experiment engine's DeployCache
 // shares across grid runs — so plans are compiled once per (deployment
-// key, geometry), alongside the deployment itself. The int8 plan is
-// deliberately not cached here: its lowering is calibrated on the
-// runtime's own test samples, so each Runtime compiles its own (the
+// key, geometry), alongside the deployment itself. The runtime's int8
+// plan is deliberately not cached here: its lowering is calibrated on
+// the runtime's own test samples, so each Runtime compiles its own (the
 // compile is milliseconds against a multi-second simulation).
 type planCache struct {
 	once sync.Once
@@ -118,36 +112,25 @@ func (d *Deployed) FloatPlan() (*plan.Plan, error) {
 	return d.planc.p, d.planc.err
 }
 
-// Int8PlanPinned returns the deployment's int8 plan compiled from its
-// pinned calibration scales (or the lowering's static default ceiling
-// when none are bound), compiling on first use and cached like
+// Int8FastPlanPinned returns the deployment's int8 plan compiled from
+// its pinned calibration scales (or the lowering's static default
+// ceiling when none are bound), compiling on first use and cached like
 // FloatPlan. This is the serving path's int8 entry point: unlike the
 // runtime, which calibrates on its own test samples per simulation, an
 // online server has no calibration set — it runs the artifact exactly
 // as packaged.
-func (d *Deployed) Int8PlanPinned() (*plan.Plan, error) {
-	d.planc8.once.Do(func() {
-		d.planc8.p, d.planc8.err = d.int8Plan(nil, false)
-	})
-	return d.planc8.p, d.planc8.err
-}
-
-// Int8FastPlanPinned is Int8PlanPinned's counterpart for the
-// packed-weight fast backend: the same pinned-scale contract, lowered
-// through plan.CompileInt8Fast. The fast and bit-exact plans are cached
-// independently — a server may route some requests through each.
 func (d *Deployed) Int8FastPlanPinned() (*plan.Plan, error) {
 	d.planc8f.once.Do(func() {
-		d.planc8f.p, d.planc8f.err = d.int8Plan(nil, true)
+		d.planc8f.p, d.planc8f.err = d.int8Plan(nil)
 	})
 	return d.planc8f.p, d.planc8f.err
 }
 
-// int8Plan compiles the deployment's int8 plan, packed-weight fast or
-// bit-exact. Explicit calibration images win; otherwise scales pinned
-// by BindInt8Calibration (or an artifact load) apply; with neither, the
-// lowering uses its static default ceiling.
-func (d *Deployed) int8Plan(calibration []*tensor.Tensor, fast bool) (*plan.Plan, error) {
+// int8Plan compiles the deployment's int8 plan. Explicit calibration
+// images win; otherwise scales pinned by BindInt8Calibration (or an
+// artifact load) apply; with neither, the lowering uses its static
+// default ceiling.
+func (d *Deployed) int8Plan(calibration []*tensor.Tensor) (*plan.Plan, error) {
 	geom, err := plan.InferGeometry(d.Net)
 	if err != nil {
 		return nil, err
@@ -156,10 +139,7 @@ func (d *Deployed) int8Plan(calibration []*tensor.Tensor, fast bool) (*plan.Plan
 	if len(calibration) == 0 {
 		cfg.Scales = d.Int8Calibration
 	}
-	if fast {
-		return plan.CompileInt8Fast(d.Net, geom, cfg)
-	}
-	return plan.CompileInt8(d.Net, geom, cfg)
+	return plan.CompileInt8Fast(d.Net, geom, cfg)
 }
 
 // BindInt8Calibration runs the calibration pass over the given images

@@ -16,7 +16,7 @@ import (
 func TestParseBackend(t *testing.T) {
 	cases := map[string]InferBackend{
 		"": BackendDefault, "plan": BackendPlan, "float32": BackendPlan,
-		"legacy": BackendLegacy, "int8": BackendInt8, "int8fast": BackendInt8Fast,
+		"legacy": BackendLegacy, "int8": BackendInt8Fast, "int8fast": BackendInt8Fast,
 	}
 	for name, want := range cases {
 		got, err := ParseBackend(name)
@@ -28,10 +28,10 @@ func TestParseBackend(t *testing.T) {
 		t.Fatal("expected error for unknown backend")
 	}
 	if BackendPlan.String() != "plan" || BackendLegacy.String() != "legacy" ||
-		BackendInt8.String() != "int8" || BackendInt8Fast.String() != "int8fast" {
+		BackendInt8Fast.String() != "int8fast" {
 		t.Fatal("backend names drifted from the registry")
 	}
-	if BackendDefault.Resolve() != BackendPlan || BackendInt8.Resolve() != BackendInt8 {
+	if BackendDefault.Resolve() != BackendPlan || BackendInt8Fast.Resolve() != BackendInt8Fast {
 		t.Fatal("Resolve must map only the unset sentinel to the plan backend")
 	}
 }
@@ -56,7 +56,7 @@ func TestInt8BackendUnavailableErrors(t *testing.T) {
 	}
 	_, test := dataset.TrainTest(dataset.SynthConfig{Seed: 1}, 2, 4)
 	_, err = NewRuntime(d, RuntimeConfig{
-		TestSet: test, Backend: BackendInt8, SkipFitCheck: true,
+		TestSet: test, Backend: BackendInt8Fast, SkipFitCheck: true,
 	})
 	if err == nil {
 		t.Fatal("int8 backend on an uncompilable deployment must error, not fall back to float")
@@ -139,19 +139,27 @@ func TestBackendPlanMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestBackendInt8Runs checks the int8 backend completes an empirical
-// episode and produces a structurally sane report.
+// TestBackendInt8Runs checks the "int8" name selects the integer
+// backend: its empirical episode runs on int8fast and reports exactly
+// what a run that names int8fast reports.
 func TestBackendInt8Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical test skipped in -short")
 	}
+	b, err := ParseBackend("int8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, sc, test := empiricalSetup(t, 53)
-	rt, rep := runEmpirical(t, d, sc, test, BackendInt8)
-	if rt.Backend() != BackendInt8 {
-		t.Fatalf("int8 runtime fell back to %v", rt.Backend())
+	rt, rep := runEmpirical(t, d, sc, test, b)
+	if rt.Backend() != BackendInt8Fast {
+		t.Fatalf("int8 runtime runs %v, want int8fast", rt.Backend())
 	}
 	if rep.ProcessedCount() == 0 {
 		t.Fatal("int8 episode processed nothing")
+	}
+	if _, fast := runEmpirical(t, d, sc, test, BackendInt8Fast); !reflect.DeepEqual(rep, fast) {
+		t.Fatal(`a run naming "int8" reports differently from one naming "int8fast"`)
 	}
 }
 
@@ -181,34 +189,31 @@ func TestPinnedPlansConcurrentFirstUse(t *testing.T) {
 	d := testDeployed(t, 7)
 	const g = 16
 	var wg sync.WaitGroup
-	slow := make([]*plan.Plan, g)
+	float := make([]*plan.Plan, g)
 	fast := make([]*plan.Plan, g)
 	for i := 0; i < g; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p8, err := d.Int8PlanPinned()
+			pp, err := d.FloatPlan()
 			if err != nil {
-				t.Errorf("Int8PlanPinned: %v", err)
+				t.Errorf("FloatPlan: %v", err)
 			}
 			pf, err := d.Int8FastPlanPinned()
 			if err != nil {
 				t.Errorf("Int8FastPlanPinned: %v", err)
 			}
-			slow[i], fast[i] = p8, pf
+			float[i], fast[i] = pp, pf
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < g; i++ {
-		if slow[i] != slow[0] || fast[i] != fast[0] {
-			t.Fatal("pinned plan caches handed out different plans across racing first uses")
+		if float[i] != float[0] || fast[i] != fast[0] {
+			t.Fatal("plan caches handed out different plans across racing first uses")
 		}
 	}
-	if slow[0] == fast[0] {
-		t.Fatal("fast and bit-exact pinned plans must be cached independently")
-	}
-	if !fast[0].Int8Fast() || slow[0].Int8Fast() {
-		t.Fatal("pinned plan flags wrong")
+	if !fast[0].Int8() || float[0].Int8() {
+		t.Fatal("cached plan flags wrong")
 	}
 }
 
@@ -242,12 +247,12 @@ func TestInt8CalibrationOverride(t *testing.T) {
 	}
 	rt, err := NewRuntime(d, RuntimeConfig{
 		Mode: PolicyStaticLUT, Storage: sc.Storage, Seed: sc.Seed, TestSet: test,
-		Backend: BackendInt8, Calibration: calib, SkipFitCheck: true,
+		Backend: BackendInt8Fast, Calibration: calib, SkipFitCheck: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Backend() != BackendInt8 {
+	if rt.Backend() != BackendInt8Fast {
 		t.Fatalf("int8 runtime fell back to %v", rt.Backend())
 	}
 	if _, err := rt.Run(sc.Trace, sc.Schedule); err != nil {

@@ -81,11 +81,8 @@ type Deployed struct {
 	Int8Calibration *plan.Calibration
 
 	// planc caches the compiled float32 inference plan (see FloatPlan);
-	// planc8 caches the pinned-scale int8 plan (see Int8PlanPinned);
-	// planc8f the pinned-scale packed-weight fast plan
-	// (see Int8FastPlanPinned).
+	// planc8f the pinned-scale int8 plan (see Int8FastPlanPinned).
 	planc   planCache
-	planc8  planCache
 	planc8f planCache
 }
 
@@ -241,14 +238,14 @@ func NewRuntime(d *Deployed, cfg RuntimeConfig) (*Runtime, error) {
 	r.cfg.Backend = cfg.Backend
 	if cfg.TestSet != nil && cfg.Backend != BackendLegacy {
 		// Empirical mode on a compiled backend: build the executor once.
-		if cfg.Backend == BackendInt8 || cfg.Backend == BackendInt8Fast {
-			// An integer backend was explicitly requested; a deployment
+		if cfg.Backend == BackendInt8Fast {
+			// The integer backend was explicitly requested; a deployment
 			// that cannot lower must not silently produce float results.
 			calib := cfg.Calibration
 			if len(calib) == 0 && d.Int8Calibration == nil {
 				calib = calibrationSamples(cfg.TestSet, 8)
 			}
-			p, perr := d.int8Plan(calib, cfg.Backend == BackendInt8Fast)
+			p, perr := d.int8Plan(calib)
 			if perr != nil {
 				return nil, fmt.Errorf("core: %s backend unavailable for this deployment: %w", cfg.Backend, perr)
 			}

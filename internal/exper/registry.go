@@ -262,8 +262,9 @@ func ScheduleNames() []string { return sortedKeys(scheduleRegistry) }
 // DeploymentNames lists the registered deployment names, sorted.
 func DeploymentNames() []string { return sortedKeys(deployRegistry) }
 
-// BackendNames lists the inference-backend names a declarative spec may
-// use, sorted.
+// BackendNames lists the canonical inference-backend names a declarative
+// spec may use, sorted; the aliases "float32" and "int8" are accepted
+// too.
 func BackendNames() []string { return core.BackendNames() }
 
 func sortedKeys[V any](m map[string]V) []string {

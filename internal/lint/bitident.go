@@ -15,7 +15,6 @@ var bitidentPkgs = map[string]bool{
 	"tensor": true,
 	"plan":   true,
 	"nn":     true,
-	"fixed":  true,
 }
 
 // BitIdent flags patterns that break deterministic float accumulation

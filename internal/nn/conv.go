@@ -9,7 +9,7 @@ import (
 // Conv2D is a 2-D convolution over NCHW input with weights stored as
 // [OutC, InC, KH, KW]. Forward lowers each sample with im2col and performs
 // a single matmul against the flattened filter bank, which is also how the
-// fixed-point MCU kernels in internal/fixed are organized.
+// compiled plans in internal/plan, float and integer, are organized.
 //
 // Channel pruning (the paper's Eq. 2) shrinks InC; the compress package
 // rebuilds pruned Conv2D layers via NewConv2D with the reduced channel

@@ -33,13 +33,10 @@ import (
 // code, and band boundaries only decide which goroutine runs it.
 //
 // A BatchExec is reusable for any number of batches but serves one
-// batch at a time; the serving layer pools them. The packed-weight
-// int8-fast backend batches exactly like float32 — each lane's executor
-// runs the fused integer kernels, so a multi-core host divides
-// quantized per-image wall time by the lane count. The bit-exact int8
-// reference backend is deliberately not batched: it exists as a
-// semantic anchor, and the serving layer runs it per image through
-// ordinary Execs.
+// batch at a time; the serving layer pools them. Integer plans batch
+// exactly like float32 ones — each lane's executor runs the fused
+// integer kernels, so a multi-core host divides quantized per-image
+// wall time by the lane count.
 type BatchExec struct {
 	p     *Plan
 	maxN  int
@@ -57,12 +54,8 @@ type blane struct {
 
 // NewBatchExec builds a batched executor able to run up to maxBatch
 // images at once, with one lane per tensor worker available at
-// construction time. Float32 and int8-fast plans support batching; the
-// bit-exact int8 reference path does not.
-func (p *Plan) NewBatchExec(maxBatch int) (*BatchExec, error) {
-	if p.int8 && !p.fast {
-		return nil, fmt.Errorf("plan: batched execution supports the float32 and int8-fast backends only")
-	}
+// construction time.
+func (p *Plan) NewBatchExec(maxBatch int) *BatchExec {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -81,7 +74,7 @@ func (p *Plan) NewBatchExec(maxBatch int) (*BatchExec, error) {
 			img: tensor.FromSlice(make([]float32, p.geom.Vol()), p.geom.C, p.geom.H, p.geom.W),
 		}
 	}
-	return be, nil
+	return be
 }
 
 // Plan returns the compiled program this executor runs.

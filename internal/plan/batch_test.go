@@ -53,10 +53,7 @@ func testBatchParity(t *testing.T, name string, lanes int) {
 	ex, ref := p.NewExec(), p.NewState()
 
 	for _, n := range []int{1, 3, 4, 5, 16} {
-		be, err := p.NewBatchExec(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		be := p.NewBatchExec(n)
 		if want := min(lanes, n); be.Lanes() != want {
 			t.Fatalf("n=%d: %d lanes, want %d", n, be.Lanes(), want)
 		}
@@ -138,10 +135,7 @@ func testScanExits(t *testing.T, lanes int) {
 		t.Fatal(err)
 	}
 	const n = 5
-	be, err := p.NewBatchExec(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	be := p.NewBatchExec(n)
 	if want := min(lanes, n); be.Lanes() != want {
 		t.Fatalf("%d lanes, want %d", be.Lanes(), want)
 	}
@@ -195,10 +189,7 @@ func TestBatchExecAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	be, err := p.NewBatchExec(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	be := p.NewBatchExec(n)
 	imgs := rawImages(n, 5)
 	dsts := make([]*State, n)
 	for i := range dsts {
@@ -215,26 +206,15 @@ func TestBatchExecAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchExecRejects covers the construction and argument contract.
+// TestBatchExecRejects covers the argument contract.
 func TestBatchExecRejects(t *testing.T) {
 	net := multiexit.LeNetEE(tensor.NewRNG(6))
 	geom, _ := InferGeometry(net)
-	ip, err := CompileInt8(net, geom, Int8Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ip.NewBatchExec(4); err == nil {
-		t.Fatal("expected error building a batch executor for an int8 plan")
-	}
-
 	fp, err := Compile(net, geom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := fp.NewBatchExec(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	be := fp.NewBatchExec(2)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {

@@ -24,7 +24,6 @@ type Exec struct {
 	// classifier head's dequantized logits.
 	bufA8, bufB8 []uint8
 	col8         []uint8
-	acc          []int32
 	logitsOut    []float32
 }
 
@@ -35,11 +34,6 @@ func (p *Plan) NewExec() *Exec {
 		e.bufA8 = make([]uint8, p.maxVol)
 		e.bufB8 = make([]uint8, p.maxVol)
 		e.col8 = make([]uint8, p.maxColVol)
-		if !p.fast {
-			// The fast path requantizes straight out of GEMM registers;
-			// only the bit-exact path stages an int32 accumulator slab.
-			e.acc = make([]int32, p.maxAccVol)
-		}
 		e.logitsOut = make([]float32, p.classes)
 	} else {
 		e.bufA = make([]float32, p.maxVol)

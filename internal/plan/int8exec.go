@@ -1,25 +1,29 @@
 package plan
 
-import (
-	"math/bits"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Int8 execution: uint8 activation codes flow between steps, conv/dense
-// steps accumulate int8×uint8 products in int32 and re-quantize through
-// the statically bound multiplier (ReLU fused: negative accumulators
-// clamp to the zero code). Classifier heads dequantize accumulators to
-// float32 logits so State.Predicted/Confidence work identically across
-// backends.
+// Int8 execution: the packed-weight integer pipeline behind
+// CompileInt8Fast. Uint8 activation codes flow between steps, and every
+// weighted layer runs the fused dual-lane GEMM (tensor.GemmInt8PackedReq)
+// against weights repacked at compile time: im2col writes directly in
+// the transposed panel order the kernel consumes, accumulators live in
+// registers for the whole dot product, and requantize+ReLU happens in
+// the GEMM epilogue through the layer's fixed-point (multiplier, shift)
+// pair (negative accumulators clamp to the zero code). Classifier heads
+// dequantize accumulators to float32 logits, so State.Predicted and
+// Confidence work identically across backends.
+//
+// Every step is integer arithmetic up to that last float32 multiply, so
+// the logits are a deterministic function of weights and input at any
+// lane count. Against the float backend the contract is statistical,
+// pinned by TestInt8FastStatisticalParity.
 
 // inferToInt8 is InferTo for int8 plans.
 //
 //ehlint:hotpath
 func (e *Exec) inferToInt8(dst *State, img *tensor.Tensor, exit int) {
 	p := e.p
-	// Quantize the [0,1] input image to 8-bit codes (scale 1/255), like
-	// fixed.QuantizeActivations(img, 1, 8).
+	// Quantize the [0,1] input image to 8-bit codes (scale 1/255).
 	cur := e.bufA8[:p.geom.Vol()]
 	for i, v := range img.Data {
 		// The conversion rounds the product before the +0.5 below: a
@@ -36,7 +40,7 @@ func (e *Exec) inferToInt8(dst *State, img *tensor.Tensor, exit int) {
 		}
 	}
 	for i := 0; i <= exit; i++ {
-		cur = e.runIntSeg(p.segments[i], cur)
+		cur = e.runInt8Fast(p.segments[i], cur)
 	}
 	e.checkpointInt8(dst, cur, exit)
 	e.runBranchInt8(dst, cur, exit)
@@ -49,7 +53,7 @@ func (e *Exec) resumeInt8(dst *State, exit int) {
 	p := e.p
 	cur := dst.trunk8[:dst.trunkShape.vol()]
 	for i := dst.Exit + 1; i <= exit; i++ {
-		cur = e.runIntSeg(p.segments[i], cur)
+		cur = e.runInt8Fast(p.segments[i], cur)
 	}
 	e.checkpointInt8(dst, cur, exit)
 	e.runBranchInt8(dst, cur, exit)
@@ -68,7 +72,7 @@ func (e *Exec) checkpointInt8(dst *State, cur []uint8, exit int) {
 //
 //ehlint:hotpath
 func (e *Exec) runBranchInt8(dst *State, cur []uint8, exit int) {
-	e.runIntSeg(e.p.branches[exit], cur)
+	e.runInt8Fast(e.p.branches[exit], cur)
 	dst.Exit = exit
 	// The final dense step wrote dst-bound logits into e.logitsOut.
 	copy(dst.logits, e.logitsOut[:e.p.classes])
@@ -84,169 +88,38 @@ func (e *Exec) otherU8(cur []uint8) []uint8 {
 	return e.bufA8
 }
 
-// runIntSeg dispatches one step chain to the plan's integer pipeline:
-// the packed-kernel fast path or the bit-exact reference path.
+// runInt8Fast executes one step chain through the packed kernels.
+// Classifier heads (deqScale > 0) emit float32 logits into e.logitsOut
+// instead of codes.
 //
 //ehlint:hotpath
-func (e *Exec) runIntSeg(ops []step, cur []uint8) []uint8 {
-	if e.p.fast {
-		return e.runInt8Fast(ops, cur)
-	}
-	return e.runInt8(ops, cur)
-}
-
-// runInt8 executes one step chain on integer codes. Classifier heads
-// (deqScale > 0) emit float32 logits into e.logitsOut instead of codes.
-//
-//ehlint:hotpath
-func (e *Exec) runInt8(ops []step, cur []uint8) []uint8 {
+func (e *Exec) runInt8Fast(ops []step, cur []uint8) []uint8 {
 	for si := range ops {
 		st := &ops[si]
 		switch st.kind {
 		case opConv:
 			out := e.otherU8(cur)
-			tensor.Im2ColU8(e.col8, cur[:st.inShape.vol()], st.geom)
-			tensor.MatMulInt8Into(e.acc, st.wq, e.col8, st.outC, st.colRows, st.colCols)
-			spatial := st.colCols
-			rm, re := st.requantM, st.requantE
-			for oc := 0; oc < st.outC; oc++ {
-				b := st.biasAcc[oc]
-				accRow := e.acc[oc*spatial : (oc+1)*spatial]
-				outRow := out[oc*spatial : (oc+1)*spatial]
-				for i, a := range accRow {
-					outRow[i] = requantU8(a+b, rm, re)
-				}
-			}
+			tensor.Im2ColU8Packed(e.col8, cur[:st.inShape.vol()], st.geom)
+			tensor.GemmInt8PackedReq(out, st.wpk, e.col8, st.biasAcc, st.colCols, st.mulFix, st.shiftFix)
 			cur = out
 
 		case opDense:
+			// The flattened activation vector IS one k-deep column, so
+			// dense layers are the n=1 case of the packed GEMM.
 			x := cur[:st.in]
 			if st.deqScale > 0 {
-				// Classifier head: raw accumulators → float logits.
-				for o := 0; o < st.out; o++ {
-					e.logitsOut[o] = float32(dotInt8(st.wq[o*st.in:(o+1)*st.in], x)+st.biasAcc[o]) * st.deqScale
-				}
+				tensor.GemmInt8PackedDeq(e.logitsOut, st.wpk, x, st.biasAcc, 1, st.deqScale)
 				return cur
 			}
 			out := e.otherU8(cur)
-			rm, re := st.requantM, st.requantE
-			for o := 0; o < st.out; o++ {
-				out[o] = requantU8(dotInt8(st.wq[o*st.in:(o+1)*st.in], x)+st.biasAcc[o], rm, re)
-			}
+			tensor.GemmInt8PackedReq(out, st.wpk, x, st.biasAcc, 1, st.mulFix, st.shiftFix)
 			cur = out
 
 		case opPool:
 			out := e.otherU8(cur)
-			tensor.MaxPool2U8(out, cur, st.inShape.c, st.inShape.h, st.inShape.w, st.kernel, st.stride)
+			tensor.MaxPool2U8Into(out, cur, st.inShape.c, st.inShape.h, st.inShape.w, st.kernel, st.stride, st.outShape.h, st.outShape.w)
 			cur = out
 		}
 	}
 	return cur
-}
-
-// requantU8 fuses ReLU (accumulator clamp at zero) with requantization
-// to an 8-bit activation code, in pure integer arithmetic. (m, e) is the
-// compile-time decomposition of the layer's float requant multiplier
-// (requantFixExact), and the function reproduces the historical
-// float-rounding reference
-//
-//	q := int32(float32(a)*mult + 0.5)
-//
-// bit for bit across the full int32 accumulator range (each of the
-// reference's three round-to-nearest-even float32 roundings — a to 24
-// bits, the product, the +0.5 — is emulated on integer mantissas; the
-// parity fuzz test pins this). Keeping the exact output is what lets
-// BackendInt8's bit-identity tests survive the float unit's removal
-// from this hot loop.
-//
-//ehlint:hotpath
-func requantU8(a int32, m int64, e int) uint8 {
-	if a <= 0 {
-		return 0
-	}
-	// float32(a): round the accumulator to a 24-bit significand.
-	x := int64(a)
-	if x >= 1<<24 {
-		sh := uint(bits.Len64(uint64(x))) - 24
-		x = rneShift(x, sh) << sh
-	}
-	// float32(a) * mult: exact 55-bit product, rounded to 24 bits and
-	// normalized to p·2^exp with p in [2^23, 2^24).
-	p := x * m
-	exp := e
-	if l := bits.Len64(uint64(p)); l > 24 {
-		sh := uint(l - 24)
-		p = rneShift(p, sh)
-		exp += int(sh)
-	}
-	if p == 1<<24 {
-		p = 1 << 23
-		exp++
-	}
-	// + 0.5, rounded: an exact tie at exp == 0, exact or rounded via the
-	// common-denominator sum for negative exponents, a no-op above.
-	switch {
-	case exp == 0:
-		p += p & 1
-		if p == 1<<24 {
-			p = 1 << 23
-			exp = 1
-		}
-	case exp <= -1:
-		if exp < -40 {
-			return 0 // product ≪ 0.5: the sum truncates to zero
-		}
-		s := p + int64(1)<<uint(-1-exp)
-		if l := bits.Len64(uint64(s)); l > 24 {
-			sh := uint(l - 24)
-			s = rneShift(s, sh)
-			exp += int(sh)
-		}
-		if s == 1<<24 {
-			s = 1 << 23
-			exp++
-		}
-		p = s
-	}
-	// int32 truncation + the 255 clamp. A value at or above 2^31
-	// reproduces the reference's amd64 conversion (INT_MIN → code 0).
-	if exp > 0 {
-		if exp >= 8 {
-			return 0
-		}
-		return 255 // p·2^exp ≥ 2^24
-	}
-	q := p >> uint(-exp)
-	if q > 255 {
-		return 255
-	}
-	return uint8(q)
-}
-
-// rneShift shifts x (≥ 0) right by s, rounding to nearest with ties to
-// even — one float32 significand rounding on integer mantissas.
-//
-//ehlint:hotpath
-func rneShift(x int64, s uint) int64 {
-	if s == 0 {
-		return x
-	}
-	half := int64(1) << (s - 1)
-	r := x >> s
-	frac := x - r<<s
-	if frac > half || (frac == half && r&1 == 1) {
-		r++
-	}
-	return r
-}
-
-// dotInt8 is the dense-layer integer kernel: Σ w·x in int32.
-//
-//ehlint:hotpath
-func dotInt8(w []int8, x []uint8) int32 {
-	var s int32
-	for i, wv := range w {
-		s += int32(wv) * int32(x[i])
-	}
-	return s
 }

@@ -3,120 +3,62 @@ package plan
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/big"
 	"testing"
 
 	"repro/internal/multiexit"
 	"repro/internal/tensor"
 )
 
-// refRequantU8 is the historical float-rounding requantization this
-// backend's integer requantU8 must reproduce bit for bit. The product
-// and the +0.5 are separate statements so the reference stays
-// double-rounded (no fused multiply-add) on every platform.
-func refRequantU8(a int32, mult float32) uint8 {
-	if a <= 0 {
-		return 0
-	}
-	prod := float32(a) * mult
-	q := int32(prod + 0.5)
-	if q > 255 {
-		return 255
-	}
-	return uint8(q)
-}
-
-// refConvertible reports whether the reference's float→int32 conversion
-// is well-defined for this (a, mult): at or above 2^31 the Go spec
-// leaves the result implementation-dependent, so parity there is only
-// meaningful per platform.
-func refConvertible(a int32, mult float32) bool {
-	if a <= 0 {
-		return true
-	}
-	prod := float32(a) * mult
-	return float64(prod+0.5) < float64(int64(1)<<31)
-}
-
-// requantMults gathers the requant multipliers a real compiled int8
-// plan binds, plus a spread of synthetic magnitudes covering the
-// fixed-point corners (tiny products, near-1 multipliers, ties).
-func requantMults(t *testing.T) []float32 {
-	t.Helper()
-	net := multiexit.LeNetEE(tensor.NewRNG(6))
-	geom, _ := InferGeometry(net)
-	ip, err := CompileInt8(net, geom, Int8Config{Calibration: testImages(4, 21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mults []float32
-	for _, seq := range append(append([][]step{}, ip.segments...), ip.branches...) {
-		for _, st := range seq {
-			if st.requantMult > 0 {
-				mults = append(mults, st.requantMult)
-			}
-		}
-	}
-	if len(mults) == 0 {
-		t.Fatal("compiled int8 plan bound no requant multipliers")
-	}
-	return append(mults,
-		1e-10, 3.0517578e-05, 0.001, 0.0117, 0.25, 0.3333333,
-		0.5, 0.9999999, 1.0, 1.0000001, 1.5, 7.25, 1e-38)
-}
-
-// TestRequantU8Parity sweeps the integer requantization against the
-// float-rounding reference: exhaustively over the low accumulator range,
-// across every power-of-two boundary (where significand roundings
-// change), and over a dense random sample of the full int32 range.
-func TestRequantU8Parity(t *testing.T) {
-	mults := requantMults(t)
-	check := func(a int32, mult float32, m int64, e int) {
-		if !refConvertible(a, mult) {
-			return
-		}
-		if got, want := requantU8(a, m, e), refRequantU8(a, mult); got != want {
-			t.Fatalf("requantU8(%d, mult=%x) = %d, want %d", a, math.Float32bits(mult), got, want)
-		}
-	}
-	r := rand.New(rand.NewSource(42))
-	for _, mult := range mults {
-		m, e := requantFixExact(mult)
-		for a := int32(-4); a <= 1<<17; a++ {
-			check(a, mult, m, e)
-		}
-		for sh := uint(17); sh < 31; sh++ {
-			base := int32(1) << sh
-			for d := int32(-300); d <= 300; d++ {
-				check(base+d, mult, m, e)
-			}
-		}
-		for i := 0; i < 200000; i++ {
-			check(int32(r.Uint32()), mult, m, e)
-		}
-		check(math.MaxInt32, mult, m, e)
-	}
-}
-
-// FuzzRequantU8 extends the parity sweep to arbitrary (accumulator,
-// multiplier) pairs: any positive finite float32 multiplier must
-// requantize identically through the integer path.
-func FuzzRequantU8(f *testing.F) {
+// FuzzRequantFix31 checks the integer requantization end to end. For
+// any int32 accumulator a and positive finite float32 multiplier,
+// requantFix31 either rejects the multiplier (its shift would fall
+// outside [1, 62]) or binds a pair with mul·2^-shift exactly equal to
+// it, and the packed GEMM's fused epilogue, reached with one zero
+// weight and a as the bias, returns min(255, ⌊a·mult + ½⌋) for a > 0
+// and 0 otherwise, computed exactly with math/big.
+func FuzzRequantFix31(f *testing.F) {
 	f.Add(int32(1), uint32(0x3a80_0000))             // tiny a, mult 2^-10
-	f.Add(int32(1<<24+3), uint32(0x3f80_0000))       // a above 24-bit, mult 1
-	f.Add(int32(255), uint32(0x3f00_0001))           // near-tie territory
+	f.Add(int32(1<<24+3), uint32(0x3f80_0000))       // a above 24 bits, mult 1
+	f.Add(int32(255), uint32(0x3f00_0001))           // near a rounding tie
 	f.Add(int32(math.MaxInt32), uint32(0x28ff_ff01)) // huge a, tiny mult
+	f.Add(int32(7), uint32(0x4f00_0000))             // mult 2^31: rejected
+	f.Add(int32(-5), uint32(0x3e80_0000))            // negative a clamps to 0
+	zero := tensor.PackInt8Panels([]int8{0}, 1, 1)
 	f.Fuzz(func(t *testing.T, a int32, multBits uint32) {
 		mult := math.Float32frombits(multBits &^ (1 << 31))
 		if !(mult > 0) || math.IsInf(float64(mult), 0) {
 			t.Skip()
 		}
-		if !refConvertible(a, mult) {
-			t.Skip() // implementation-dependent conversion region
+		mul, shift, err := requantFix31(mult)
+		if _, exp := math.Frexp(float64(mult)); err != nil {
+			if s := 31 - exp; s >= 1 && s <= 62 {
+				t.Fatalf("requantFix31(%x) rejected a multiplier with shift %d: %v", multBits, s, err)
+			}
+			return
 		}
-		m, e := requantFixExact(mult)
-		if got, want := requantU8(a, m, e), refRequantU8(a, mult); got != want {
-			t.Fatalf("requantU8(%d, mult=%x) = %d, want %d", a, multBits, got, want)
+		if shift < 1 || shift > 62 {
+			t.Fatalf("requantFix31(%x) bound shift %d outside [1, 62]", multBits, shift)
+		}
+		pow := new(big.Int).Lsh(big.NewInt(1), shift)
+		if got, want := new(big.Rat).SetFrac(big.NewInt(int64(mul)), pow), new(big.Rat).SetFloat64(float64(mult)); got.Cmp(want) != 0 {
+			t.Fatalf("requantFix31(%x) = (%d, %d): %v, want exactly %v", multBits, mul, shift, got, want)
+		}
+
+		var want uint8
+		if a > 0 {
+			// ⌊a·mul/2^shift + ½⌋ = ⌊(2·a·mul + 2^shift) / 2^(shift+1)⌋.
+			q := new(big.Int).Mul(big.NewInt(2*int64(a)), big.NewInt(int64(mul)))
+			q.Add(q, pow).Rsh(q, shift+1)
+			want = 255
+			if q.Cmp(big.NewInt(255)) < 0 {
+				want = uint8(q.Int64())
+			}
+		}
+		var dst [1]uint8
+		tensor.GemmInt8PackedReq(dst[:], zero, []uint8{255}, []int32{a}, 1, mul, shift)
+		if dst[0] != want {
+			t.Fatalf("epilogue(a=%d, mult=%x) = %d, want %d", a, multBits, dst[0], want)
 		}
 	})
 }
@@ -141,16 +83,16 @@ func compileFastPair(t *testing.T, seed uint64) (*multiexit.Network, *Plan, *Pla
 	return net, fp, ip
 }
 
-// TestInt8FastStatisticalParity is the fast backend's accuracy gate:
+// TestInt8FastStatisticalParity is the integer backend's accuracy gate:
 // per-exit accuracy within ε of the float backend. With the float
 // backend's own predictions as labels its accuracy is 1 by
 // construction, so the gate reduces to a per-exit agreement rate of at
 // least 1-ε — the statistical contract that licenses the packed-kernel
-// restructuring (the bit-exact contract stays with BackendInt8).
+// restructuring.
 func TestInt8FastStatisticalParity(t *testing.T) {
 	const epsilon = 0.15
 	net, fp, ip := compileFastPair(t, 6)
-	if !ip.Int8() || !ip.Int8Fast() || fp.Int8Fast() {
+	if !ip.Int8() || fp.Int8() {
 		t.Fatal("backend flags wrong")
 	}
 	fex, fst := fp.NewExec(), fp.NewState()
@@ -210,7 +152,7 @@ func TestInt8FastAllocs(t *testing.T) {
 
 // TestInt8FastBatchLanes: BatchExec accepts int8-fast plans and its
 // per-image results are bit-identical to the single-image executor at
-// any lane count; the bit-exact int8 reference stays unbatched.
+// any lane count.
 func TestInt8FastBatchLanes(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -218,10 +160,7 @@ func TestInt8FastBatchLanes(t *testing.T) {
 			defer tensor.SetWorkers(prev)
 
 			net, _, ip := compileFastPair(t, 12)
-			be, err := ip.NewBatchExec(8)
-			if err != nil {
-				t.Fatal(err)
-			}
+			be := ip.NewBatchExec(8)
 			imgs := testImages(8, 19)
 			raws := make([][]float32, len(imgs))
 			dsts := make([]*State, len(imgs))
@@ -242,15 +181,5 @@ func TestInt8FastBatchLanes(t *testing.T) {
 				}
 			}
 		})
-	}
-
-	net := multiexit.LeNetEE(tensor.NewRNG(14))
-	geom, _ := InferGeometry(net)
-	slow, err := CompileInt8(net, geom, Int8Config{Calibration: testImages(2, 23)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := slow.NewBatchExec(4); err == nil {
-		t.Fatal("bit-exact int8 plan must stay unbatched")
 	}
 }

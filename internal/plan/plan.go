@@ -22,13 +22,16 @@
 //     geometry, and quantization settings are snapshotted at compile
 //     time.
 //
-//   - Int8 (CompileInt8): the deployment-faithful integer pipeline in
-//     the spirit of internal/fixed — int8 weights, uint8 activations,
-//     int32 accumulators (tensor.MatMulInt8Into), fused ReLU +
-//     requantization — but compiled: scales are bound statically so the
-//     hot loop is pure integer arithmetic. It approximates the float
-//     result (validated by argmax-agreement tests), it does not
-//     reproduce it bitwise.
+//   - Int8 (CompileInt8Fast): the deployment-faithful integer pipeline —
+//     int8 weights packed once into dual-lane panels, uint8
+//     activations, int32 accumulators held in registers, and ReLU fused
+//     with a fixed-point (multiplier, shift) requantization, the
+//     integer-only scheme of Jacob et al. (arXiv:1712.05877). Scales are
+//     bound statically, so the hot loop is integer arithmetic up to one
+//     float32 multiply per classifier logit, and its logits are a
+//     deterministic function of weights and input at any lane count.
+//     It approximates the float result (gated by per-exit agreement
+//     tests); it does not reproduce it bitwise.
 //
 // A Plan is immutable and safe to share; each goroutine runs it through
 // its own Exec, and suspended inferences checkpoint into caller-owned
@@ -128,24 +131,17 @@ type step struct {
 
 	inShape, outShape shape
 
-	// int8 lowering (populated by CompileInt8 instead of w/bias).
-	wq          []int8
-	biasAcc     []int32
-	requantMult float32 // accumulator → uint8 activation codes
-	deqScale    float32 // accumulator → float32 logits (classifier heads)
-
-	// Integer requantization, bound at compile time. The bit-exact
-	// backend carries the float multiplier's 24-bit mantissa and
-	// exponent (requantM, requantE), which requantU8 uses to reproduce
-	// the float-rounding reference in pure integer arithmetic. The fast
-	// backend carries a single-rounding 31-bit fixed-point pair
-	// (mulFix, shiftFix) fused into the packed-GEMM epilogue, plus the
-	// weights repacked once into the dual-lane panel layout.
-	requantM int64
-	requantE int
+	// int8 lowering (populated by CompileInt8Fast instead of w/bias):
+	// the weights repacked once into the dual-lane panel layout, the
+	// bias in accumulator units, and either the 31-bit fixed-point
+	// requantization pair (mulFix, shiftFix) the packed-GEMM epilogue
+	// fuses, or, on classifier heads, the scale that dequantizes
+	// accumulators to float32 logits.
+	biasAcc  []int32
+	wpk      *tensor.PackedInt8
 	mulFix   int32
 	shiftFix uint
-	wpk      *tensor.PackedInt8
+	deqScale float32
 }
 
 // Plan is a compiled inference program: the immutable part shared by all
@@ -156,12 +152,10 @@ type Plan struct {
 	classes  int
 	geom     Geometry
 	int8     bool
-	fast     bool // int8 with packed-weight kernels (CompileInt8Fast)
 
 	// Arena sizing, computed during compilation.
 	maxVol      int // largest activation volume any step touches
 	maxColVol   int // largest im2col lowering
-	maxAccVol   int // largest int32 accumulator block (int8 backend)
 	trunkShapes []shape
 	maxTrunkVol int
 }
@@ -172,19 +166,14 @@ func (p *Plan) NumExits() int { return len(p.segments) }
 // Geometry returns the input geometry the plan was compiled for.
 func (p *Plan) Geometry() Geometry { return p.geom }
 
-// Int8 reports whether the plan is an int8 lowering (bit-exact or fast).
+// Int8 reports whether the plan is the integer lowering
+// (CompileInt8Fast).
 func (p *Plan) Int8() bool { return p.int8 }
-
-// Int8Fast reports whether the plan is the packed-weight int8 lowering
-// (CompileInt8Fast) — statistically gated against the float backend
-// rather than bit-exact against the fixed-point walk.
-func (p *Plan) Int8Fast() bool { return p.fast }
 
 // Int8Config parameterizes the int8 lowering.
 type Int8Config struct {
 	// ActMax is the assumed activation ceiling bound into requantization
-	// steps with no calibration data (default 4, matching
-	// internal/fixed's uncalibrated default).
+	// steps with no calibration data (default 4).
 	ActMax float64
 	// Calibration images (CHW, [0,1] pixels), when provided, bind each
 	// weighted layer's requantization ceiling to the max float activation
@@ -203,7 +192,7 @@ type Int8Config struct {
 // for every trunk segment and exit branch, the max observed float
 // activation after each weighted (conv/dense) layer, in execution
 // order. It is pure data, so a deployment artifact can persist it and
-// a later CompileInt8 (via Int8Config.Scales) binds bit-identical
+// a later CompileInt8Fast (via Int8Config.Scales) binds bit-identical
 // requantization scales on any machine.
 type Calibration struct {
 	Segments [][]float64 `json:"segments"`
@@ -212,8 +201,8 @@ type Calibration struct {
 
 // Calibrate runs the float network over the calibration images and
 // returns the per-weighted-layer activation ceilings the int8 lowering
-// binds. With no images the result is empty (CompileInt8 then falls
-// back to the static ActMax).
+// binds. With no images the result is empty (CompileInt8Fast then
+// falls back to the static ActMax).
 func Calibrate(net *multiexit.Network, images []*tensor.Tensor) *Calibration {
 	m := calibrate(net, images)
 	c := &Calibration{
@@ -227,28 +216,20 @@ func Calibrate(net *multiexit.Network, images []*tensor.Tensor) *Calibration {
 	return c
 }
 
-// Each calls fn for every non-empty per-sequential ceiling slice —
-// the one place the "empty means uncalibrated, skip it" convention
-// lives, shared by this compiler and the fixed-point lowering.
-func (c *Calibration) Each(fn func(branch bool, idx int, scales []float64)) {
+// calMap flattens a Calibration back into the keyed form compile uses.
+// An empty per-sequential slice means "uncalibrated" and is skipped.
+func (c *Calibration) calMap() map[calKey][]float64 {
+	m := map[calKey][]float64{}
 	for i, v := range c.Segments {
 		if len(v) > 0 {
-			fn(false, i, v)
+			m[calKey{false, i}] = v
 		}
 	}
 	for i, v := range c.Branches {
 		if len(v) > 0 {
-			fn(true, i, v)
+			m[calKey{true, i}] = v
 		}
 	}
-}
-
-// calMap flattens a Calibration back into the keyed form compile uses.
-func (c *Calibration) calMap() map[calKey][]float64 {
-	m := map[calKey][]float64{}
-	c.Each(func(branch bool, idx int, scales []float64) {
-		m[calKey{branch, idx}] = scales
-	})
 	return m
 }
 
@@ -257,47 +238,35 @@ func (c *Calibration) calMap() map[calKey][]float64 {
 // (unsupported layer, shape mismatch) means the caller should keep using
 // the layer walk.
 func Compile(net *multiexit.Network, geom Geometry) (*Plan, error) {
-	return compile(net, geom, false, false, Int8Config{})
+	return compile(net, geom, false, Int8Config{})
 }
 
-// CompileInt8 builds the int8 program for the network at the given input
-// geometry: int8 weights at each layer's quantization bitwidth (clamped
-// to 8), uint8 activations with statically bound scales, int32
-// accumulators.
-func CompileInt8(net *multiexit.Network, geom Geometry, cfg Int8Config) (*Plan, error) {
-	if cfg.ActMax <= 0 {
-		cfg.ActMax = 4
-	}
-	return compile(net, geom, true, false, cfg)
-}
-
-// CompileInt8Fast builds the packed-weight integer program: the same
-// quantization chain as CompileInt8 (so a pinned Calibration reproduces
-// identical scales on either), but lowered for throughput. Weights are
-// repacked once, here, into the dual-lane panel layout
-// (tensor.PackInt8Panels); requantize+ReLU is fused into the GEMM
-// epilogue through a 31-bit fixed-point (multiplier, shift) pair bound
-// per layer; activations flow in transposed im2col order; and float
-// arithmetic survives only at the classifier-head dequantize. Unlike
-// CompileInt8, the result is NOT bit-exact against the fixed-point layer
-// walk — its accuracy contract is statistical (per-exit accuracy within
-// ε of the float backend), which is what licenses the kernel
-// restructuring.
+// CompileInt8Fast builds the integer program for the network at the
+// given input geometry: int8 weights at each layer's quantization
+// bitwidth (clamped to 8), uint8 activations with statically bound
+// scales, int32 accumulators. Weights are repacked once, here, into the
+// dual-lane panel layout (tensor.PackInt8Panels); requantize+ReLU is
+// fused into the GEMM epilogue through a 31-bit fixed-point
+// (multiplier, shift) pair bound per layer; activations flow in
+// transposed im2col order; and float arithmetic survives only at the
+// classifier-head dequantize. A pinned Calibration reproduces identical
+// scales, and so identical logits, on any machine. Against the float
+// backend the contract is statistical: per-exit agreement within ε.
 func CompileInt8Fast(net *multiexit.Network, geom Geometry, cfg Int8Config) (*Plan, error) {
 	if cfg.ActMax <= 0 {
 		cfg.ActMax = 4
 	}
-	return compile(net, geom, true, true, cfg)
+	return compile(net, geom, true, cfg)
 }
 
-func compile(net *multiexit.Network, geom Geometry, toInt8, fast bool, cfg Int8Config) (*Plan, error) {
+func compile(net *multiexit.Network, geom Geometry, toInt8 bool, cfg Int8Config) (*Plan, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 	if geom.C <= 0 || geom.H <= 0 || geom.W <= 0 {
 		return nil, fmt.Errorf("plan: invalid input geometry %+v", geom)
 	}
-	p := &Plan{classes: net.Classes, geom: geom, int8: toInt8, fast: fast, maxVol: geom.Vol()}
+	p := &Plan{classes: net.Classes, geom: geom, int8: toInt8, maxVol: geom.Vol()}
 	var calib map[calKey][]float64
 	if toInt8 {
 		if cfg.Scales != nil {
@@ -308,8 +277,8 @@ func compile(net *multiexit.Network, geom Geometry, toInt8, fast bool, cfg Int8C
 	}
 	cur := shape{c: geom.C, h: geom.H, w: geom.W}
 	// inScale is the activation scale flowing into the next weighted
-	// layer on the int8 backend; the input image quantizes to
-	// [0,1] / 255 codes exactly like fixed.QuantizeActivations(img, 1, 8).
+	// layer on the int8 backend; the input image quantizes to [0,1] / 255
+	// codes.
 	inScale := 1.0 / 255.0
 	for i, seg := range net.Segments {
 		ops, out, err := p.compileSequential(seg, cur, toInt8, cfg, &inScale, calib[calKey{false, i}])
@@ -429,7 +398,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 				inShape:   cur, outShape: out,
 			}
 			if toInt8 {
-				if err := st.lowerInt8(l.W.Value.Data, l.B.Value.Data, l.WeightBitsPerValue, false, nextActMax(), inScale, p.fast); err != nil {
+				if err := st.lowerInt8(l.W.Value.Data, l.B.Value.Data, l.WeightBitsPerValue, false, nextActMax(), inScale); err != nil {
 					return nil, cur, fmt.Errorf("conv %q: %w", l.Name(), err)
 				}
 				// ReLU is fused into requantization; drop an adjacent one.
@@ -446,7 +415,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 					i++
 				}
 			}
-			p.noteVols(out.vol(), st.colRows*st.colCols, l.OutC*st.colCols)
+			p.noteVols(out.vol(), st.colRows*st.colCols)
 			ops = append(ops, st)
 			cur = out
 
@@ -468,7 +437,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 				st.quantBits = 0 // classifier heads skip activation quantization
 			}
 			if toInt8 {
-				if err := st.lowerInt8(l.W.Value.Data, l.B.Value.Data, l.WeightBitsPerValue, l.Final, nextActMax(), inScale, p.fast); err != nil {
+				if err := st.lowerInt8(l.W.Value.Data, l.B.Value.Data, l.WeightBitsPerValue, l.Final, nextActMax(), inScale); err != nil {
 					return nil, cur, fmt.Errorf("dense %q: %w", l.Name(), err)
 				}
 				if i+1 < len(layers) {
@@ -482,7 +451,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 					i++
 				}
 			}
-			p.noteVols(out.vol(), 0, l.Out)
+			p.noteVols(out.vol(), 0)
 			ops = append(ops, st)
 			cur = out
 
@@ -504,7 +473,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 			}
 			out := shape{c: cur.c, h: oh, w: ow}
 			ops = append(ops, step{kind: opPool, kernel: l.Kernel, stride: l.Stride, inShape: cur, outShape: out})
-			p.noteVols(out.vol(), 0, 0)
+			p.noteVols(out.vol(), 0)
 			cur = out
 
 		case *nn.Flatten:
@@ -519,15 +488,12 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 }
 
 // noteVols grows the arena sizing watermarks.
-func (p *Plan) noteVols(actVol, colVol, accVol int) {
+func (p *Plan) noteVols(actVol, colVol int) {
 	if actVol > p.maxVol {
 		p.maxVol = actVol
 	}
 	if colVol > p.maxColVol {
 		p.maxColVol = colVol
-	}
-	if accVol > p.maxAccVol {
-		p.maxAccVol = accVol
 	}
 }
 
@@ -540,12 +506,11 @@ func clampActBits(bits int) int {
 	return 0
 }
 
-// lowerInt8 quantizes one weighted layer for the int8 backend and binds
-// its scales into the step. actMax is the layer's requantization
-// ceiling. With fast set it additionally repacks the quantized weights
-// into the dual-lane panel layout and binds the fixed-point requant
-// pair the fused kernels consume.
-func (st *step) lowerInt8(w []float32, bias []float32, layerBits int, final bool, actMax float64, inScale *float64, fast bool) error {
+// lowerInt8 quantizes one weighted layer for the int8 backend, repacks
+// the quantized weights into the dual-lane panel layout, and binds the
+// scales the fused kernels consume. actMax is the layer's
+// requantization ceiling.
+func (st *step) lowerInt8(w []float32, bias []float32, layerBits int, final bool, actMax float64, inScale *float64) error {
 	bits := 8
 	if layerBits > 0 && layerBits < 8 {
 		bits = layerBits
@@ -556,7 +521,7 @@ func (st *step) lowerInt8(w []float32, bias []float32, layerBits int, final bool
 	}
 	lb := -(int32(1) << uint(bits-1))
 	ub := int32(1)<<uint(bits-1) - 1
-	st.wq = make([]int8, len(w))
+	wq := make([]int8, len(w))
 	for i, v := range w {
 		q := int32(math.Round(float64(v) / wScale))
 		if q < lb {
@@ -565,63 +530,46 @@ func (st *step) lowerInt8(w []float32, bias []float32, layerBits int, final bool
 		if q > ub {
 			q = ub
 		}
-		st.wq[i] = int8(q)
+		wq[i] = int8(q)
 	}
 	accScale := wScale * *inScale
 	st.biasAcc = make([]int32, len(bias))
 	for i, b := range bias {
 		st.biasAcc[i] = int32(math.Round(float64(b) / accScale))
 	}
-	if fast {
-		rows, cols := st.out, st.in
-		if st.kind == opConv {
-			rows, cols = st.outC, st.colRows
-		}
-		if cols > tensor.MaxInt8FastK {
-			return fmt.Errorf("reduction depth %d exceeds the int8-fast lane-safe bound %d", cols, tensor.MaxInt8FastK)
-		}
-		st.wpk = tensor.PackInt8Panels(st.wq, rows, cols)
+	rows, cols := st.out, st.in
+	if st.kind == opConv {
+		rows, cols = st.outC, st.colRows
 	}
+	if cols > tensor.MaxInt8FastK {
+		return fmt.Errorf("reduction depth %d exceeds the int8-fast lane-safe bound %d", cols, tensor.MaxInt8FastK)
+	}
+	st.wpk = tensor.PackInt8Panels(wq, rows, cols)
 	if final {
 		st.deqScale = float32(accScale)
 		return nil
 	}
 	outScale := actMax / 255
-	st.requantMult = float32(accScale / outScale)
-	st.requantM, st.requantE = requantFixExact(st.requantMult)
-	if fast {
-		mul, shift, err := requantFix31(st.requantMult)
-		if err != nil {
-			return err
-		}
-		st.mulFix, st.shiftFix = mul, shift
+	mul, shift, err := requantFix31(float32(accScale / outScale))
+	if err != nil {
+		return err
 	}
+	st.mulFix, st.shiftFix = mul, shift
 	*inScale = outScale
 	return nil
 }
 
-// requantFixExact decomposes a float32 requantization multiplier into
-// its exact 24-bit mantissa and binary exponent (mult = m·2^e, m in
-// [2^23, 2^24)), the compile-time half of requantU8's pure-integer
-// emulation of the float-rounding reference.
-func requantFixExact(mult float32) (m int64, e int) {
-	frac, exp := math.Frexp(float64(mult))
-	return int64(frac * (1 << 24)), exp - 24
-}
-
-// requantFix31 derives the fast backend's single-rounding fixed-point
-// requantization pair: mult ≈ mul·2^-shift with a 31-bit multiplier, the
-// form tensor.GemmInt8PackedReq fuses into its epilogue.
+// requantFix31 derives the fixed-point requantization pair
+// mult = mul·2^-shift with a 31-bit multiplier, the form
+// tensor.GemmInt8PackedReq fuses into its epilogue. A float32 mult has
+// at most a 24-bit significand, so the pair is exact; a mult that is
+// not positive and finite, or whose shift would fall outside [1, 62],
+// is rejected.
 func requantFix31(mult float32) (int32, uint, error) {
 	frac, exp := math.Frexp(float64(mult))
-	m := int64(math.Round(frac * (1 << 31)))
-	if m == 1<<31 {
-		m >>= 1
-		exp++
-	}
 	shift := 31 - exp
-	if mult <= 0 || shift < 1 || shift > 62 {
+	if !(mult > 0) || math.IsInf(float64(mult), 1) || shift < 1 || shift > 62 {
 		return 0, 0, fmt.Errorf("requant multiplier %g outside the 31-bit fixed-point range", mult)
 	}
-	return int32(m), uint(shift), nil
+	return int32(frac * (1 << 31)), uint(shift), nil
 }

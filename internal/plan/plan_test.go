@@ -208,64 +208,6 @@ func TestPlanAllocs(t *testing.T) {
 	}
 }
 
-// TestInt8Plan checks the int8 backend end to end: it runs, resumes, and
-// its argmax agrees with the float backend on a large majority of
-// uniformly random inputs (it is an approximation, not a bit-identical
-// backend).
-func TestInt8Plan(t *testing.T) {
-	net := multiexit.LeNetEE(tensor.NewRNG(6))
-	geom, _ := InferGeometry(net)
-	fp, err := Compile(net, geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := CompileInt8(net, geom, Int8Config{Calibration: testImages(4, 21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ip.Int8() || fp.Int8() {
-		t.Fatal("backend flags wrong")
-	}
-	fex, fst := fp.NewExec(), fp.NewState()
-	iex, ist := ip.NewExec(), ip.NewState()
-
-	imgs := testImages(32, 9)
-	for exit := 0; exit < net.NumExits(); exit++ {
-		agree := 0
-		for _, img := range imgs {
-			fex.InferTo(fst, img, exit)
-			iex.InferTo(ist, img, exit)
-			if fst.Predicted() == ist.Predicted() {
-				agree++
-			}
-			if c := ist.Confidence(); c < 0 || c > 1 {
-				t.Fatalf("int8 confidence %v out of range", c)
-			}
-		}
-		if agree < len(imgs)*3/4 {
-			t.Errorf("exit %d: int8 argmax agrees on only %d/%d images", exit, agree, len(imgs))
-		}
-	}
-
-	// Resume must match direct int8 inference exactly (same integer
-	// pipeline, same codes).
-	img := imgs[0]
-	iex.InferTo(ist, img, 2)
-	direct := append([]float32(nil), ist.Logits()...)
-	iex.InferTo(ist, img, 0)
-	iex.Resume(ist, 2)
-	for i, v := range ist.Logits() {
-		if v != direct[i] {
-			t.Fatalf("int8 resume logit[%d] = %v, direct = %v", i, v, direct[i])
-		}
-	}
-
-	// And the int8 path must be allocation-free too.
-	if allocs := testing.AllocsPerRun(20, func() { iex.InferTo(ist, img, 2) }); allocs > 2 {
-		t.Errorf("int8 InferTo: %v allocs/op, want <= 2", allocs)
-	}
-}
-
 // TestCompileRejectsBadGeometry checks compile-time validation.
 func TestCompileRejectsBadGeometry(t *testing.T) {
 	net := multiexit.LeNetEE(nil)

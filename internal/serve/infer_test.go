@@ -164,7 +164,7 @@ func TestServeInferBackendSelection(t *testing.T) {
 	withBackend := func(body, backend string) string {
 		return strings.Replace(body, `{"artifact"`, `{"backend":"`+backend+`","artifact"`, 1)
 	}
-	for _, backend := range []string{"int8fast", "int8"} {
+	for _, backend := range []string{"int8fast", "legacy"} {
 		code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 2), backend))
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %v", backend, code, out)
@@ -187,10 +187,15 @@ func TestServeInferBackendSelection(t *testing.T) {
 			t.Fatalf("%s: class %d out of range", backend, cls)
 		}
 	}
-	// The float32 alias resolves to the canonical "plan" target.
+	// The float32 and int8 aliases resolve to the canonical "plan" and
+	// "int8fast" targets.
 	code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 1), "float32"))
 	if code != http.StatusOK || out["backend"] != "plan" || out["model"] != "artifact:"+id+"@plan" {
 		t.Fatalf("float32 alias: status %d, backend %v, model %v", code, out["backend"], out["model"])
+	}
+	code, out = postInfer(t, ts.URL, withBackend(inferBody(id, 1), "int8"))
+	if code != http.StatusOK || out["backend"] != "int8fast" || out["model"] != "artifact:"+id+"@int8fast" {
+		t.Fatalf("int8 alias: status %d, backend %v, model %v", code, out["backend"], out["model"])
 	}
 	// Unknown backends are client errors.
 	if code, _ := postInfer(t, ts.URL, withBackend(inferBody(id, 1), "cuda")); code != http.StatusBadRequest {

@@ -5,11 +5,9 @@ import (
 	"fmt"
 )
 
-// Packed integer kernels for the int8 *fast* inference backend
-// (plan.CompileInt8Fast). Unlike the bit-exact int8 path in int8.go —
-// which keeps the layer walk's operand layouts and a float requantize
-// round-trip — these kernels restructure the integer pipeline for
-// throughput:
+// Packed integer kernels for the int8 inference backend
+// (plan.CompileInt8Fast). Rather than keep the layer walk's operand
+// layouts, they restructure the integer pipeline for throughput:
 //
 //   - Weights are repacked ONCE, at plan-compile time, into K-major
 //     dual-row panels (PackInt8Panels): each panel interleaves two
@@ -35,8 +33,8 @@ import (
 //
 // Products are accumulated in ascending K order, independent of
 // blocking — results are deterministic (integer adds are associative),
-// just not bit-equal to the float reference; the fast backend's
-// accuracy contract is statistical (per-exit accuracy within ε),
+// just not bit-equal to the float reference; the backend's accuracy
+// contract against float is statistical (per-exit accuracy within ε),
 // enforced by plan's parity tests.
 
 // int8PanelRows is the row width of a packed weight panel: two output
@@ -388,9 +386,11 @@ func GemmInt8PackedDeq(dst []float32, w *PackedInt8, bt []uint8, bias []int32, n
 	}
 }
 
-// MaxPool2U8Into is MaxPool2U8 against precomputed output dims: the
-// fast exec path's pooling step (identical window walk, no dim
-// recompute in the hot loop).
+// MaxPool2U8Into applies kernel×kernel/stride max pooling to a uint8
+// CHW tensor with precomputed output dims (max pooling commutes with
+// monotone quantization, so it runs on the integer codes directly):
+// the integer exec path's pooling step, with no dim recompute in the
+// hot loop.
 //
 //ehlint:hotpath
 func MaxPool2U8Into(dst, src []uint8, c, h, w, kernel, stride, outH, outW int) {

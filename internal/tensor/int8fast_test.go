@@ -45,6 +45,153 @@ func transposeU8(b []uint8, k, n int) []uint8 {
 	return bt
 }
 
+// The reference integer kernels the packed ones are checked against:
+// a plain ikj-order int8×uint8→int32 GEMM, a row-major uint8 im2col
+// and a uint8 max pool, each written for clarity, not speed.
+
+// matMulInt8Into computes dst = A×B with int32 accumulators: A is an
+// m×k int8 matrix, B a k×n uint8 matrix, dst m×n and fully overwritten.
+func matMulInt8Into(dst []int32, a []int8, b []uint8, m, k, n int) {
+	for i := 0; i < m; i++ {
+		crow := dst[i*n : (i+1)*n]
+		for j := range crow {
+			crow[j] = 0
+		}
+		for p, av := range a[i*k : (i+1)*k] {
+			w := int32(av)
+			for j, bv := range b[p*n : (p+1)*n] {
+				crow[j] += w * int32(bv)
+			}
+		}
+	}
+}
+
+// im2ColU8 lowers a uint8 CHW image into a [C*KH*KW, OutH*OutW]
+// matrix, the integer twin of Im2ColSlice. Padded taps are the zero
+// code.
+func im2ColU8(dst, src []uint8, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	cols := outH * outW
+	dst = dst[:g.InC*g.KH*g.KW*cols]
+	for i := range dst {
+		dst[i] = 0
+	}
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				row := (c*g.KH+kh)*g.KW + kw
+				for oh := 0; oh < outH; oh++ {
+					ih := oh*g.StrideH - g.PadH + kh
+					if ih < 0 || ih >= g.InH {
+						continue
+					}
+					for ow := 0; ow < outW; ow++ {
+						iw := ow*g.StrideW - g.PadW + kw
+						if iw >= 0 && iw < g.InW {
+							dst[row*cols+oh*outW+ow] = src[(c*g.InH+ih)*g.InW+iw]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// maxPool2U8 applies kernel×kernel/stride max pooling to a uint8 CHW
+// tensor and returns the output dims.
+func maxPool2U8(dst, src []uint8, c, h, w, kernel, stride int) (outH, outW int) {
+	outH = (h-kernel)/stride + 1
+	outW = (w-kernel)/stride + 1
+	for ci := 0; ci < c; ci++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := uint8(0)
+				for ky := 0; ky < kernel; ky++ {
+					for kx := 0; kx < kernel; kx++ {
+						best = max(best, src[(ci*h+oy*stride+ky)*w+ox*stride+kx])
+					}
+				}
+				dst[(ci*outH+oy)*outW+ox] = best
+			}
+		}
+	}
+	return outH, outW
+}
+
+// TestMatMulInt8Into checks the reference integer GEMM against a scalar
+// triple loop.
+func TestMatMulInt8Into(t *testing.T) {
+	m, k, n := 3, 4, 5
+	a := []int8{1, -2, 0, 3, -128, 127, 5, 0, 0, 0, -1, 2}
+	b := make([]uint8, k*n)
+	for i := range b {
+		b[i] = uint8((i * 37) % 256)
+	}
+	dst := make([]int32, m*n)
+	for i := range dst {
+		dst[i] = -999 // must be overwritten
+	}
+	matMulInt8Into(dst, a, b, m, k, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var want int32
+			for p := 0; p < k; p++ {
+				want += int32(a[i*k+p]) * int32(b[p*n+j])
+			}
+			if dst[i*n+j] != want {
+				t.Fatalf("dst[%d,%d] = %d, want %d", i, j, dst[i*n+j], want)
+			}
+		}
+	}
+}
+
+// TestIm2ColU8MatchesFloat lowers the same image through the float
+// im2col and the reference uint8 one and compares code for code.
+func TestIm2ColU8MatchesFloat(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	imgU := make([]uint8, g.InC*g.InH*g.InW)
+	imgF := make([]float32, len(imgU))
+	for i := range imgU {
+		imgU[i] = uint8((i*13)%255 + 1)
+		imgF[i] = float32(imgU[i])
+	}
+	rows, cols := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	colU := make([]uint8, rows*cols)
+	for i := range colU {
+		colU[i] = 77 // stale contents must be cleared
+	}
+	colF := make([]float32, rows*cols)
+	im2ColU8(colU, imgU, g)
+	Im2ColSlice(colF, imgF, g)
+	for i := range colU {
+		if float32(colU[i]) != colF[i] {
+			t.Fatalf("col[%d]: u8 %d vs float %g", i, colU[i], colF[i])
+		}
+	}
+}
+
+// TestMaxPool2U8 checks the reference pool's geometry and max
+// selection.
+func TestMaxPool2U8(t *testing.T) {
+	c, h, w := 2, 4, 4
+	src := make([]uint8, c*h*w)
+	for i := range src {
+		src[i] = uint8(i)
+	}
+	dst := make([]uint8, c*2*2)
+	oh, ow := maxPool2U8(dst, src, c, h, w, 2, 2)
+	if oh != 2 || ow != 2 {
+		t.Fatalf("out dims %dx%d, want 2x2", oh, ow)
+	}
+	// Each 2×2 window's max is its bottom-right element for this ramp.
+	want := []uint8{5, 7, 13, 15, 21, 23, 29, 31}
+	for i, v := range dst {
+		if v != want[i] {
+			t.Fatalf("dst[%d] = %d, want %d", i, v, want[i])
+		}
+	}
+}
+
 func TestPackInt8PanelsRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, dims := range [][2]int{{1, 7}, {3, 5}, {4, 9}, {6, 75}, {17, 33}, {36, 150}} {
@@ -97,7 +244,7 @@ func TestIm2ColU8PackedMatchesTranspose(t *testing.T) {
 		rows := g.InC * g.KH * g.KW
 		cols := g.OutH() * g.OutW()
 		plain := make([]uint8, rows*cols)
-		Im2ColU8(plain, src, g)
+		im2ColU8(plain, src, g)
 		want := transposeU8(plain, rows, cols)
 		got := make([]uint8, rows*cols)
 		Im2ColU8Packed(got, src, g)
@@ -110,7 +257,7 @@ func TestIm2ColU8PackedMatchesTranspose(t *testing.T) {
 }
 
 // TestGemmInt8PackedReq pins the fused kernel against the reference
-// pipeline (MatMulInt8Into + bias + requant) across row counts covering
+// pipeline (matMulInt8Into + bias + requant) across row counts covering
 // every panel/tail combination and both column parities.
 func TestGemmInt8PackedReq(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -125,7 +272,7 @@ func TestGemmInt8PackedReq(t *testing.T) {
 				bias[i] = int32(r.Intn(20001) - 10000)
 			}
 			acc := make([]int32, m*n)
-			MatMulInt8Into(acc, w, b, m, k, n)
+			matMulInt8Into(acc, w, b, m, k, n)
 			want := make([]uint8, m*n)
 			for i := 0; i < m; i++ {
 				for j := 0; j < n; j++ {
@@ -155,7 +302,7 @@ func TestGemmInt8PackedDeq(t *testing.T) {
 			bias[i] = int32(r.Intn(2001) - 1000)
 		}
 		acc := make([]int32, m*n)
-		MatMulInt8Into(acc, w, b, m, k, n)
+		matMulInt8Into(acc, w, b, m, k, n)
 		got := make([]float32, m*n)
 		GemmInt8PackedDeq(got, PackInt8Panels(w, m, k), transposeU8(b, k, n), bias, n, scale)
 		for i := 0; i < m; i++ {
@@ -172,7 +319,7 @@ func TestMaxPool2U8IntoMatchesMaxPool2U8(t *testing.T) {
 	c, h, w := 6, 28, 28
 	src := randUint8(r, c*h*w)
 	want := make([]uint8, c*14*14)
-	oh, ow := MaxPool2U8(want, src, c, h, w, 2, 2)
+	oh, ow := maxPool2U8(want, src, c, h, w, 2, 2)
 	got := make([]uint8, c*oh*ow)
 	MaxPool2U8Into(got, src, c, h, w, 2, 2, oh, ow)
 	for i := range want {
@@ -212,7 +359,7 @@ func benchRefGemm(b *testing.B, m, k, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInt8Into(acc, w, bb, m, k, n)
+		matMulInt8Into(acc, w, bb, m, k, n)
 		for oc := 0; oc < m; oc++ {
 			bv := bias[oc]
 			accRow := acc[oc*n : (oc+1)*n]

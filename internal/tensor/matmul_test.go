@@ -118,3 +118,33 @@ func TestGemmTransBSerialRowBatched(t *testing.T) {
 		}
 	}
 }
+
+// TestGemmSerialMatchesMatMul cross-checks the raw-slice serial kernels
+// against the tensor-level kernels that the conv/dense layers use, which
+// is the bit-identity the compiled plans rely on.
+func TestGemmSerialMatchesMatMul(t *testing.T) {
+	rng := NewRNG(11)
+	m, k, n := 7, 13, 9
+	a, b := New(m, k), New(k, n)
+	FillUniform(a, rng, -1, 1)
+	FillUniform(b, rng, -1, 1)
+	want := MatMul(a, b)
+	got := make([]float32, m*n)
+	GemmSerial(got, a.Data, b.Data, m, k, n)
+	for i := range got {
+		if got[i] != want.Data[i] {
+			t.Fatalf("GemmSerial[%d] = %g, want %g", i, got[i], want.Data[i])
+		}
+	}
+
+	bt := New(n, k)
+	FillUniform(bt, rng, -1, 1)
+	wantT := MatMulTransB(a, bt)
+	gotT := make([]float32, m*n)
+	GemmTransBSerial(gotT, a.Data, bt.Data, m, k, n)
+	for i := range gotT {
+		if gotT[i] != wantT.Data[i] {
+			t.Fatalf("GemmTransBSerial[%d] = %g, want %g", i, gotT[i], wantT.Data[i])
+		}
+	}
+}

@@ -77,26 +77,6 @@ func BenchmarkLegacyInferToExit3(b *testing.B) {
 	}
 }
 
-// BenchmarkInferToExit3Int8 measures the int8 fixed-point backend.
-func BenchmarkInferToExit3Int8(b *testing.B) {
-	net := multiexit.LeNetEE(tensor.NewRNG(1))
-	img := benchImage()
-	geom, err := plan.InferGeometry(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := plan.CompileInt8(net, geom, plan.Int8Config{Calibration: []*tensor.Tensor{img}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex, st := p.NewExec(), p.NewState()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.InferTo(st, img, 2)
-	}
-}
-
 // BenchmarkInferToExit3Int8Fast measures the packed-weight integer
 // pipeline (plan.CompileInt8Fast) — the backend whose acceptance gate is
 // running at or below the fp32 plan on the same box.
@@ -326,10 +306,7 @@ func benchInferBatched(b *testing.B, n int, int8fast bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	be, err := p.NewBatchExec(n)
-	if err != nil {
-		b.Fatal(err)
-	}
+	be := p.NewBatchExec(n)
 	// A pool of 16 distinct images; each dispatch takes the next n,
 	// wrapping, so every batch size sees the same image diversity.
 	const pool = 16

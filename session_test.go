@@ -190,12 +190,12 @@ func TestSessionWithBackend(t *testing.T) {
 	if BackendDefault.Resolve() != BackendPlan {
 		t.Fatal("the unset backend must resolve to the compiled plan")
 	}
-	s := NewSession(WithBackend(BackendInt8))
-	if s.Backend() != BackendInt8 {
+	s := NewSession(WithBackend(BackendInt8Fast))
+	if s.Backend() != BackendInt8Fast {
 		t.Fatalf("WithBackend not applied: %v", s.Backend())
 	}
-	if _, err := ParseBackend("int8"); err != nil {
-		t.Fatal(err)
+	if b, err := ParseBackend("int8"); err != nil || b != BackendInt8Fast {
+		t.Fatalf(`ParseBackend("int8") = %v, %v; want the int8fast alias`, b, err)
 	}
 }
 
