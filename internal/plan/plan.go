@@ -216,19 +216,15 @@ func Calibrate(net *multiexit.Network, images []*tensor.Tensor) *Calibration {
 	return c
 }
 
-// calMap flattens a Calibration back into the keyed form compile uses.
-// An empty per-sequential slice means "uncalibrated" and is skipped.
+// calMap flattens a Calibration back into the keyed form compile uses;
+// an empty per-sequential slice means "uncalibrated" there too.
 func (c *Calibration) calMap() map[calKey][]float64 {
 	m := map[calKey][]float64{}
 	for i, v := range c.Segments {
-		if len(v) > 0 {
-			m[calKey{false, i}] = v
-		}
+		m[calKey{false, i}] = v
 	}
 	for i, v := range c.Branches {
-		if len(v) > 0 {
-			m[calKey{true, i}] = v
-		}
+		m[calKey{true, i}] = v
 	}
 	return m
 }

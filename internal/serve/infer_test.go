@@ -156,7 +156,8 @@ func TestServeInferDeterministic(t *testing.T) {
 // on that backend — its own target, keyed by (model, backend) — and the
 // response echoes the canonical backend name. The packed-weight
 // int8fast path answers with the same response shape as the default
-// plan backend.
+// plan backend, and the "int8" and "float32" aliases answer on their
+// canonical targets.
 func TestServeInferBackendSelection(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "infer-backend"))
@@ -164,38 +165,30 @@ func TestServeInferBackendSelection(t *testing.T) {
 	withBackend := func(body, backend string) string {
 		return strings.Replace(body, `{"artifact"`, `{"backend":"`+backend+`","artifact"`, 1)
 	}
-	for _, backend := range []string{"int8fast", "legacy"} {
-		code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 2), backend))
+	for _, tc := range []struct{ name, backend string }{
+		{"int8fast", "int8fast"}, {"int8", "int8fast"}, {"float32", "plan"},
+	} {
+		code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 2), tc.name))
 		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %v", backend, code, out)
+			t.Fatalf("%s: status %d: %v", tc.name, code, out)
 		}
-		if out["backend"] != backend {
-			t.Fatalf("%s request answered by backend %v", backend, out["backend"])
+		if out["backend"] != tc.backend {
+			t.Fatalf("%s request answered by backend %v", tc.name, out["backend"])
 		}
-		if out["model"] != "artifact:"+id+"@"+backend {
-			t.Fatalf("%s target key = %v", backend, out["model"])
+		if out["model"] != "artifact:"+id+"@"+tc.backend {
+			t.Fatalf("%s target key = %v", tc.name, out["model"])
 		}
 		preds := out["predictions"].([]any)
 		if len(preds) != 2 {
-			t.Fatalf("%s: predictions = %v", backend, out["predictions"])
+			t.Fatalf("%s: predictions = %v", tc.name, out["predictions"])
 		}
 		p := preds[0].(map[string]any)
-		if p["backend"] != backend {
-			t.Fatalf("%s: prediction backend = %v", backend, p["backend"])
+		if p["backend"] != tc.backend {
+			t.Fatalf("%s: prediction backend = %v", tc.name, p["backend"])
 		}
 		if cls := int(p["class"].(float64)); cls < 0 || cls >= 10 {
-			t.Fatalf("%s: class %d out of range", backend, cls)
+			t.Fatalf("%s: class %d out of range", tc.name, cls)
 		}
-	}
-	// The float32 and int8 aliases resolve to the canonical "plan" and
-	// "int8fast" targets.
-	code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 1), "float32"))
-	if code != http.StatusOK || out["backend"] != "plan" || out["model"] != "artifact:"+id+"@plan" {
-		t.Fatalf("float32 alias: status %d, backend %v, model %v", code, out["backend"], out["model"])
-	}
-	code, out = postInfer(t, ts.URL, withBackend(inferBody(id, 1), "int8"))
-	if code != http.StatusOK || out["backend"] != "int8fast" || out["model"] != "artifact:"+id+"@int8fast" {
-		t.Fatalf("int8 alias: status %d, backend %v, model %v", code, out["backend"], out["model"])
 	}
 	// Unknown backends are client errors.
 	if code, _ := postInfer(t, ts.URL, withBackend(inferBody(id, 1), "cuda")); code != http.StatusBadRequest {
