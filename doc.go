@@ -41,14 +41,15 @@
 //     program — precomputed shapes and conv geometry, a reusable
 //     double-buffered activation arena, fused conv+bias+ReLU steps over
 //     register-blocked kernels — with float32 output bit-identical to
-//     the layer walk, plus two integer backends selectable via
-//     Session.WithBackend, RuntimeConfig.Backend, a GridSpec's
-//     "backend" field, or a /v1/infer request's "backend" field: the
-//     bit-exact int8 reference (int8 weights, uint8 activations, int32
-//     accumulators, frozen requantization) and the packed-weight
-//     int8-fast pipeline (dual-lane uint64 weight panels packed at
-//     compile time, fused fixed-point requantization, batched serving
-//     lanes) that outruns the float32 plan under a statistical
+//     the layer walk, plus one integer backend, int8fast ("int8" names
+//     it too), selectable via Session.WithBackend,
+//     RuntimeConfig.Backend, a GridSpec's "backend" field, or a
+//     /v1/infer request's "backend" field: int8 weights packed at
+//     compile time into dual-lane uint64 panels, uint8 activations,
+//     int32 accumulators and a fused fixed-point requantization, with
+//     batched serving lanes. Its logits are a deterministic function of
+//     weights and input (pinned bit for bit on the golden artifact),
+//     and it outruns the float32 plan under a statistical
 //     per-exit-accuracy parity gate; plans are cached per deployment
 //     alongside the experiment engine's deployment cache;
 //
