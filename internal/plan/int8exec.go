@@ -23,27 +23,34 @@ import "repro/internal/tensor"
 //ehlint:hotpath
 func (e *Exec) inferToInt8(dst *State, img *tensor.Tensor, exit int) {
 	p := e.p
-	// Quantize the [0,1] input image to 8-bit codes (scale 1/255).
 	cur := e.bufA8[:p.geom.Vol()]
-	for i, v := range img.Data {
+	quantizeInput(cur, img.Data)
+	for i := 0; i <= exit; i++ {
+		cur = e.runInt8Fast(p.segments[i], cur)
+	}
+	e.checkpointInt8(dst, cur, exit)
+	e.runBranchInt8(dst, cur, exit)
+}
+
+// quantizeInput quantizes a [0,1] input image to 8-bit codes (scale
+// 1/255).
+//
+//ehlint:hotpath
+func quantizeInput(dst []uint8, src []float32) {
+	for i, v := range src {
 		// The conversion rounds the product before the +0.5 below: a
 		// fused multiply-add would round once and could pick another
 		// code on a platform that fuses.
 		f := float32(v * 255)
 		switch {
 		case !(f > 0): // negatives and NaN clamp to the zero code
-			cur[i] = 0
+			dst[i] = 0
 		case f >= 255:
-			cur[i] = 255
+			dst[i] = 255
 		default:
-			cur[i] = uint8(f + 0.5)
+			dst[i] = uint8(f + 0.5)
 		}
 	}
-	for i := 0; i <= exit; i++ {
-		cur = e.runInt8Fast(p.segments[i], cur)
-	}
-	e.checkpointInt8(dst, cur, exit)
-	e.runBranchInt8(dst, cur, exit)
 }
 
 // resumeInt8 is Resume for int8 plans.

@@ -104,6 +104,7 @@ func (s shape) vol() int {
 // step is one fused stage of a compiled program.
 type step struct {
 	kind opKind
+	name string // the layer it was lowered from, e.g. "Conv1" or "Conv1.pool"
 
 	// Weights and biases are live views into the network parameters
 	// (float backend) — mutating the network's weights in place is
@@ -387,7 +388,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 			}
 			out := shape{c: l.OutC, h: g.OutH(), w: g.OutW()}
 			st := step{
-				kind: opConv, geom: g, outC: l.OutC,
+				kind: opConv, name: l.Name(), geom: g, outC: l.OutC,
 				colRows: l.InC * l.KH * l.KW, colCols: g.OutH() * g.OutW(),
 				w: l.W.Value.Data, bias: l.B.Value.Data,
 				quantBits: clampActBits(l.ActBits),
@@ -424,7 +425,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 			}
 			out := shape{flat: true, features: l.Out}
 			st := step{
-				kind: opDense, in: l.In, out: l.Out,
+				kind: opDense, name: l.Name(), in: l.In, out: l.Out,
 				w: l.W.Value.Data, bias: l.B.Value.Data,
 				quantBits: clampActBits(l.ActBits), final: l.Final,
 				inShape: cur, outShape: out,
@@ -456,7 +457,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 			// standalone clamp on unsigned codes is the identity — so the
 			// step is emitted only on the float backend.
 			if !toInt8 {
-				ops = append(ops, step{kind: opReLU, inShape: cur, outShape: cur})
+				ops = append(ops, step{kind: opReLU, name: l.Name(), inShape: cur, outShape: cur})
 			}
 
 		case *nn.MaxPool2D:
@@ -468,7 +469,7 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 				return nil, cur, fmt.Errorf("pool %q yields empty output for %dx%d", l.Name(), cur.h, cur.w)
 			}
 			out := shape{c: cur.c, h: oh, w: ow}
-			ops = append(ops, step{kind: opPool, kernel: l.Kernel, stride: l.Stride, inShape: cur, outShape: out})
+			ops = append(ops, step{kind: opPool, name: l.Name(), kernel: l.Kernel, stride: l.Stride, inShape: cur, outShape: out})
 			p.noteVols(out.vol(), 0)
 			cur = out
 
