@@ -218,12 +218,11 @@ func (e *Exec) runFloat(ops []step, cur []float32, owned bool) ([]float32, bool)
 		st := &ops[si]
 		switch st.kind {
 		case opConv:
-			// Transposed lowering + register-blocked dot-product GEMM:
-			// the layer walk's sums in the same per-element order (so
-			// bit-identical), with every accumulator held in a register.
+			// The layer walk's own lowering and GEMM kernel (AVX2 where
+			// the CPU has it), so the sums are bit-identical to it.
 			out := e.other(cur)
-			tensor.Im2ColTSlice(e.col, cur[:st.inShape.vol()], st.geom)
-			tensor.GemmTransBSerial(out, st.w, e.col, st.outC, st.colRows, st.colCols)
+			tensor.Im2ColSlice(e.col, cur[:st.inShape.vol()], st.geom)
+			tensor.GemmSerial(out, st.w, e.col, st.outC, st.colRows, st.colCols)
 			spatial := st.colCols
 			for oc := 0; oc < st.outC; oc++ {
 				b := st.bias[oc]

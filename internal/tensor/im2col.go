@@ -75,92 +75,43 @@ func Im2ColSlice(dst, src []float32, g ConvGeom) {
 	if len(dst) < rows*cols {
 		panic(fmt.Sprintf("tensor: Im2ColSlice dst length %d below %d for geometry %+v", len(dst), rows*cols, g))
 	}
-	dst = dst[:rows*cols]
-	// Padded taps contribute zero and the copy loops below skip them, so
-	// clear the destination first.
-	for i := range dst {
-		dst[i] = 0
-	}
 	for c := 0; c < g.InC; c++ {
 		chanBase := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				row := (c*g.KH+kh)*g.KW + kw
 				dstRow := dst[row*cols : (row+1)*cols]
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						continue
-					}
-					srcRow := src[chanBase+ih*g.InW:]
-					outBase := oh * outW
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							continue
-						}
-						dstRow[outBase+ow] = srcRow[iw]
-					}
+				// Output columns [lo, hi) read input column
+				// iw = ow*StrideW - PadW + kw inside the image; the rest
+				// are padded taps and contribute zero.
+				lo, hi := 0, outW
+				if d := g.PadW - kw; d > 0 {
+					lo = (d + g.StrideW - 1) / g.StrideW
 				}
-			}
-		}
-	}
-}
-
-// Im2ColTSlice lowers a CHW image into the TRANSPOSED im2col layout
-// [OutH*OutW, C*KH*KW]: one contiguous row of filter taps per output
-// position. Compiled plans convolve against this layout with the
-// dot-product GEMM (GemmTransBSerial), which keeps every accumulator in
-// a register instead of sweeping the output row per tap — the same sums
-// in the same per-element order, substantially faster. Padded taps are
-// written as zero.
-func Im2ColTSlice(dst, src []float32, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	rows := g.InC * g.KH * g.KW
-	cols := outH * outW
-	if len(src) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColTSlice image volume %d does not match geometry %+v", len(src), g))
-	}
-	if len(dst) < rows*cols {
-		panic(fmt.Sprintf("tensor: Im2ColTSlice dst length %d below %d for geometry %+v", len(dst), rows*cols, g))
-	}
-	d := 0
-	for oh := 0; oh < outH; oh++ {
-		for ow := 0; ow < outW; ow++ {
-			iw0 := ow*g.StrideW - g.PadW
-			interiorW := iw0 >= 0 && iw0+g.KW <= g.InW
-			for c := 0; c < g.InC; c++ {
-				chanBase := c * g.InH * g.InW
-				for kh := 0; kh < g.KH; kh++ {
+				if last := g.InW - 1 + g.PadW - kw; last < 0 {
+					hi = 0
+				} else {
+					hi = min(hi, last/g.StrideW+1)
+				}
+				lo = min(lo, hi)
+				for oh := 0; oh < outH; oh++ {
+					seg := dstRow[oh*outW : (oh+1)*outW]
 					ih := oh*g.StrideH - g.PadH + kh
 					if ih < 0 || ih >= g.InH {
-						for kw := 0; kw < g.KW; kw++ {
-							dst[d] = 0
-							d++
-						}
+						clear(seg)
 						continue
 					}
-					srcRow := src[chanBase+ih*g.InW:]
-					if interiorW {
-						// Fully in-bounds tap row: branch-free copy with
-						// both slices bounds-check-eliminated.
-						seg := srcRow[iw0 : iw0+g.KW]
-						dseg := dst[d : d+g.KW]
-						for x, v := range seg {
-							dseg[x] = v
-						}
-						d += g.KW
+					clear(seg[:lo])
+					clear(seg[hi:])
+					srcRow := src[chanBase+ih*g.InW : chanBase+(ih+1)*g.InW]
+					iw := lo*g.StrideW - g.PadW + kw
+					if g.StrideW == 1 {
+						copy(seg[lo:hi], srcRow[iw:])
 						continue
 					}
-					iw := iw0
-					for kw := 0; kw < g.KW; kw++ {
-						if iw < 0 || iw >= g.InW {
-							dst[d] = 0
-						} else {
-							dst[d] = srcRow[iw]
-						}
-						d++
-						iw++
+					for ow := lo; ow < hi; ow++ {
+						seg[ow] = srcRow[iw]
+						iw += g.StrideW
 					}
 				}
 			}

@@ -134,3 +134,47 @@ func TestIm2ColPaddingContributesZero(t *testing.T) {
 		t.Fatalf("padded im2col total = %v, want 16", total)
 	}
 }
+
+// TestIm2ColSliceMatchesDefinition checks every element of the lowering
+// against its definition, col[(c,kh,kw)][(oh,ow)] = img[c][ih][iw] or 0
+// for a padded tap, over strides, paddings wider than the kernel's
+// reach and a dirty destination.
+func TestIm2ColSliceMatchesDefinition(t *testing.T) {
+	rng := NewRNG(23)
+	geoms := []ConvGeom{
+		{InC: 3, InH: 32, InW: 32, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+		{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{InC: 2, InH: 9, InW: 7, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+		{InC: 1, InH: 4, InW: 6, KH: 2, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 4},
+		{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 2, PadW: 2},
+	}
+	for _, g := range geoms {
+		img := New(g.InC, g.InH, g.InW)
+		FillUniform(img, rng, 1, 2)
+		rows, cols := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		col := make([]float32, rows*cols)
+		for i := range col {
+			col[i] = -1
+		}
+		Im2ColSlice(col, img.Data, g)
+		for c := 0; c < g.InC; c++ {
+			for kh := 0; kh < g.KH; kh++ {
+				for kw := 0; kw < g.KW; kw++ {
+					row := (c*g.KH+kh)*g.KW + kw
+					for oh := 0; oh < g.OutH(); oh++ {
+						for ow := 0; ow < g.OutW(); ow++ {
+							ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+							var want float32
+							if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+								want = img.Data[(c*g.InH+ih)*g.InW+iw]
+							}
+							if got := col[row*cols+oh*g.OutW()+ow]; got != want {
+								t.Fatalf("geom %+v: col[%d][%d,%d] = %v, want %v", g, row, oh, ow, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

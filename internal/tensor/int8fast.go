@@ -31,11 +31,18 @@ import (
 //     unit. Classifier heads use GemmInt8PackedDeq, the one place the
 //     fast integer pipeline dequantizes to float32 logits.
 //
-// Products are accumulated in ascending K order, independent of
-// blocking — results are deterministic (integer adds are associative),
-// just not bit-equal to the float reference; the backend's accuracy
-// contract against float is statistical (per-exit accuracy within ε),
-// enforced by plan's parity tests.
+// On a CPU with AVX2 (useAVX2) the weights are packed instead as int16
+// 4-row panels (packInt8AVX2) and the dot products run in
+// dotInt8x4AVX2: activation bytes zero-extended to int16, multiplied
+// and pair-summed exactly by VPMADDWD, reduced horizontally, then put
+// through the same requantization or dequantization epilogue. Every
+// other host runs the dual-lane kernels above.
+//
+// Both kernels compute every accumulator exactly in int32, so their
+// results are the same bits on every host (integer adds are
+// associative) — just not bit-equal to the float reference; the
+// backend's accuracy contract against float is statistical (per-exit
+// accuracy within ε), enforced by plan's parity tests.
 
 // int8PanelRows is the row width of a packed weight panel: two output
 // rows share every activation load AND every multiply through the
@@ -46,18 +53,21 @@ const int8PanelRows = 2
 // MaxInt8FastK bounds the reduction depth of the packed kernels: a
 // k-deep unsigned lane accumulates at most k·255·255, which must stay
 // below 2^31 so lane extraction fits int32 (and lanes can never carry
-// into each other). The compile layer rejects deeper layers.
+// into each other); the AVX2 kernel's signed sums stay below k·128·255.
+// The compile layer rejects deeper layers.
 const MaxInt8FastK = (1 << 31) / (255 * 255)
 
 // PackedInt8 is an m×k int8 weight matrix repacked for the fused
-// dual-lane integer GEMM: full panels of int8PanelRows rows rebiased to
-// unsigned (w+128) and interleaved K-major into uint64 lane pairs,
-// followed by one plain int8 tail row when m is odd. Packing happens
-// once at plan-compile time; the pack is immutable and safe to share
-// across executors.
+// integer GEMM of the host's kernel. For the dual-lane kernel: full
+// panels of int8PanelRows rows rebiased to unsigned (w+128) and
+// interleaved K-major into uint64 lane pairs, followed by one plain
+// int8 tail row when m is odd. For the AVX2 kernel: int16 4-row panels
+// (w16). Packing happens once at plan-compile time; the pack is
+// immutable and safe to share across executors.
 type PackedInt8 struct {
 	panels []uint64 // pair p of rows (2p, 2p+1): panels[p*k+q] = lo|hi lanes
 	tail   []int8   // last row, row-major, when m is odd
+	w16    []int16  // the AVX2 layout (packInt8AVX2); nil for the dual-lane one
 	m, k   int
 }
 
@@ -68,10 +78,11 @@ func (p *PackedInt8) Rows() int { return p.m }
 func (p *PackedInt8) Cols() int { return p.k }
 
 // PackInt8Panels repacks a row-major m×k int8 weight matrix into the
-// dual-lane panel layout the fused integer GEMM consumes. It panics
-// when the reduction depth could overflow lane accumulation — the
-// compile layer must reject such layers rather than serve wrong
-// answers.
+// layout the host's fused integer GEMM consumes: the AVX2 panels when
+// the CPU has AVX2 and k is at least 16, the dual-lane panels
+// otherwise. It panics when the reduction depth could overflow lane
+// accumulation — the compile layer must reject such layers rather than
+// serve wrong answers.
 func PackInt8Panels(w []int8, m, k int) *PackedInt8 {
 	if len(w) < m*k {
 		panic(fmt.Sprintf("tensor: PackInt8Panels weight slice %d too small for %dx%d", len(w), m, k))
@@ -80,6 +91,10 @@ func PackInt8Panels(w []int8, m, k int) *PackedInt8 {
 		panic(fmt.Sprintf("tensor: PackInt8Panels reduction depth %d exceeds lane-safe bound %d", k, MaxInt8FastK))
 	}
 	p := &PackedInt8{m: m, k: k}
+	if useAVX2 && k >= 16 {
+		p.w16 = packInt8AVX2(w, m, k)
+		return p
+	}
 	pairs := m / 2
 	p.panels = make([]uint64, pairs*k)
 	for pr := 0; pr < pairs; pr++ {
@@ -103,8 +118,7 @@ func PackInt8Panels(w []int8, m, k int) *PackedInt8 {
 // layout [OutH*OutW, C*KH*KW] — one contiguous column of filter taps
 // per output position, written directly in the order the packed GEMM
 // consumes (no separate transpose pass). Padded taps are the zero code,
-// exact for the backend's unsigned zero-point-0 quantization. The
-// integer twin of Im2ColTSlice.
+// exact for the backend's unsigned zero-point-0 quantization.
 //
 //ehlint:hotpath
 func Im2ColU8Packed(dst, src []uint8, g ConvGeom) {
@@ -234,6 +248,24 @@ func GemmInt8PackedReq(dst []uint8, w *PackedInt8, bt []uint8, bias []int32, n i
 	if len(dst) < m*n || len(bt) < k*n || len(bias) < m {
 		panic(fmt.Sprintf("tensor: GemmInt8PackedReq slice sizes %d/%d/%d too small for %dx%dx%d", len(dst), len(bt), len(bias), m, k, n))
 	}
+	if w.w16 != nil {
+		var sums [4 * int8AVX2Cols]int32
+		for i := 0; i < m; i += 4 {
+			rows := min(4, m-i)
+			for j0 := 0; j0 < n; j0 += int8AVX2Cols {
+				nc := min(int8AVX2Cols, n-j0)
+				w.dotAVX2(&sums, i, bt[j0*k:(j0+nc)*k], nc)
+				for r := 0; r < rows; r++ {
+					b := bias[i+r]
+					drow := dst[(i+r)*n+j0:][:nc]
+					for jj := range drow {
+						drow[jj] = requantFix(sums[4*jj+r]+b, mul, shift)
+					}
+				}
+			}
+		}
+		return
+	}
 	pairs := m / 2
 	for j := 0; j < n; j += 2 {
 		c0 := bt[j*k : j*k+k : j*k+k]
@@ -360,6 +392,24 @@ func GemmInt8PackedDeq(dst []float32, w *PackedInt8, bt []uint8, bias []int32, n
 	m, k := w.m, w.k
 	if len(dst) < m*n || len(bt) < k*n || len(bias) < m {
 		panic(fmt.Sprintf("tensor: GemmInt8PackedDeq slice sizes %d/%d/%d too small for %dx%dx%d", len(dst), len(bt), len(bias), m, k, n))
+	}
+	if w.w16 != nil {
+		var sums [4 * int8AVX2Cols]int32
+		for i := 0; i < m; i += 4 {
+			rows := min(4, m-i)
+			for j0 := 0; j0 < n; j0 += int8AVX2Cols {
+				nc := min(int8AVX2Cols, n-j0)
+				w.dotAVX2(&sums, i, bt[j0*k:(j0+nc)*k], nc)
+				for r := 0; r < rows; r++ {
+					b := bias[i+r]
+					drow := dst[(i+r)*n+j0:][:nc]
+					for jj := range drow {
+						drow[jj] = float32(sums[4*jj+r]+b) * scale
+					}
+				}
+			}
+		}
+		return
 	}
 	pairs := m / 2
 	for j := 0; j < n; j++ {

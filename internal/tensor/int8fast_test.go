@@ -192,31 +192,64 @@ func TestMaxPool2U8(t *testing.T) {
 	}
 }
 
-func TestPackInt8PanelsRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, dims := range [][2]int{{1, 7}, {3, 5}, {4, 9}, {6, 75}, {17, 33}, {36, 150}} {
-		m, k := dims[0], dims[1]
-		w := randInt8(r, m*k)
-		p := PackInt8Panels(w, m, k)
-		if p.Rows() != m || p.Cols() != k {
-			t.Fatalf("pack dims %dx%d, want %dx%d", p.Rows(), p.Cols(), m, k)
-		}
-		// Unpack: full panels are K-major dual-lane uint64s (rows
-		// rebiased to unsigned), the odd tail row plain int8.
-		got := make([]int8, m*k)
-		for pr := 0; pr < m/2; pr++ {
-			for q := 0; q < k; q++ {
-				v := p.panels[pr*k+q]
-				got[(2*pr)*k+q] = int8(int16(uint8(v)) - 128)
-				got[(2*pr+1)*k+q] = int8(int16(uint8(v>>32)) - 128)
+// unpackInt8 recovers the row-major weights from either packed layout.
+func unpackInt8(p *PackedInt8) []int8 {
+	m, k := p.m, p.k
+	got := make([]int8, m*k)
+	if p.w16 != nil {
+		// 4-row panels of 16-deep chunks; the last chunk holds depths
+		// k-16 … k-1, of which those already in a full chunk are zero.
+		chunks := (k + 15) / 16
+		for i := 0; i < m; i++ {
+			for c := 0; c < chunks; c++ {
+				chunk := p.w16[((i/4*chunks+c)*4+i%4)*16:][:16]
+				for t, v := range chunk {
+					d := c*16 + t
+					if c == k/16 {
+						if d = k - 16 + t; d < c*16 {
+							continue
+						}
+					}
+					got[i*k+d] = int8(v)
+				}
 			}
 		}
-		if m%2 == 1 {
-			copy(got[(m-1)*k:m*k], p.tail)
+		return got
+	}
+	// Full panels are K-major dual-lane uint64s (rows rebiased to
+	// unsigned), the odd tail row plain int8.
+	for pr := 0; pr < m/2; pr++ {
+		for q := 0; q < k; q++ {
+			v := p.panels[pr*k+q]
+			got[(2*pr)*k+q] = int8(int16(uint8(v)) - 128)
+			got[(2*pr+1)*k+q] = int8(int16(uint8(v>>32)) - 128)
 		}
-		for idx := range w {
-			if got[idx] != w[idx] {
-				t.Fatalf("%dx%d: unpacked[%d] = %d, want %d", m, k, idx, got[idx], w[idx])
+	}
+	if m%2 == 1 {
+		copy(got[(m-1)*k:m*k], p.tail)
+	}
+	return got
+}
+
+func TestPackInt8PanelsRoundTrip(t *testing.T) {
+	for _, avx2 := range []bool{false, cpuHasAVX2()} {
+		setAVX2(t, avx2)
+		r := rand.New(rand.NewSource(1))
+		for _, dims := range [][2]int{{1, 7}, {3, 5}, {4, 9}, {6, 75}, {17, 33}, {36, 150}, {5, 16}, {2, 32}} {
+			m, k := dims[0], dims[1]
+			w := randInt8(r, m*k)
+			p := PackInt8Panels(w, m, k)
+			if p.Rows() != m || p.Cols() != k {
+				t.Fatalf("pack dims %dx%d, want %dx%d", p.Rows(), p.Cols(), m, k)
+			}
+			if (p.w16 != nil) != (avx2 && k >= 16) {
+				t.Fatalf("avx2=%v %dx%d: packed the wrong layout", avx2, m, k)
+			}
+			got := unpackInt8(p)
+			for idx := range w {
+				if got[idx] != w[idx] {
+					t.Fatalf("avx2=%v %dx%d: unpacked[%d] = %d, want %d", avx2, m, k, idx, got[idx], w[idx])
+				}
 			}
 		}
 	}

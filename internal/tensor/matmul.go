@@ -35,11 +35,11 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	if int64(m)*int64(k)*int64(n) < parallelFlopThreshold || Workers() == 1 {
-		matMulRows(cd, ad, bd, 0, m, k, n)
+		gemmRows(cd, ad, bd, 0, m, k, n)
 		return
 	}
 	ParallelFor(m, func(lo, hi int) {
-		matMulRows(cd, ad, bd, lo, hi, k, n)
+		gemmRows(cd, ad, bd, lo, hi, k, n)
 	})
 }
 
@@ -53,23 +53,43 @@ func MatMulSerialInto(dst, a, b *Tensor) {
 	if dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulSerialInto dst shape %v, want [%d %d]", dst.Shape(), m, n))
 	}
-	matMulRows(dst.Data, a.Data, b.Data, 0, m, k, n)
+	gemmRows(dst.Data, a.Data, b.Data, 0, m, k, n)
 }
 
 // GemmSerial computes dst = A×B over raw row-major slices on the calling
 // goroutine: A is m×k, B is k×n, dst is m×n and fully overwritten. It is
 // the allocation-free kernel compiled inference plans (internal/plan)
-// drive directly against arena storage, and it is bit-identical to
-// MatMulInto at any worker count because both run the same per-row
-// serial loop.
+// drive directly against arena storage for their conv steps, and it is
+// bit-identical to MatMulInto at any worker count because both run the
+// same per-row serial kernel.
 func GemmSerial(dst, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(dst) < m*n {
 		panic(fmt.Sprintf("tensor: GemmSerial slice sizes %d/%d/%d too small for %dx%dx%d", len(a), len(b), len(dst), m, k, n))
 	}
-	matMulRows(dst, a, b, 0, m, k, n)
+	gemmRows(dst, a, b, 0, m, k, n)
 }
 
-// matMulRows runs the ikj-order kernel over output rows [lo, hi).
+// useAVX2 selects the AVX2 kernels (simd_amd64.s): the float GEMM
+// behind MatMulInto, MatMulSerialInto and GemmSerial, and the int8
+// layout PackInt8Panels packs. It is set once at start-up from CPUID
+// and is false on every host without AVX2 and on every other
+// architecture; tensor's own tests flip it to run both paths.
+var useAVX2 = cpuHasAVX2()
+
+// gemmRows computes output rows [lo, hi) of A×B on the kernel the host
+// runs: the AVX2 kernel where the CPU has it, matMulRows elsewhere.
+// Both give the same bits.
+func gemmRows(cd, ad, bd []float32, lo, hi, k, n int) {
+	if useAVX2 {
+		matMulRowsAVX2(cd, ad, bd, lo, hi, k, n)
+		return
+	}
+	matMulRows(cd, ad, bd, lo, hi, k, n)
+}
+
+// matMulRows runs the ikj-order kernel over output rows [lo, hi): the
+// pure-Go kernel every host without AVX2 runs, and the reference the
+// AVX2 kernel is tested against.
 //
 // Rows are processed four at a time so each B-row load feeds four
 // accumulator rows — the kernel is load-bound, and the blocking roughly
@@ -78,7 +98,10 @@ func GemmSerial(dst, a, b []float32, m, k, n int) {
 // ascending p order, and adding a zero product (a lane whose a-value is
 // 0 while a sibling lane's is not) is an exact identity for the finite
 // activations these layers produce. The all-lanes-zero skip still fires
-// on pruned input channels, which zero whole A columns.
+// on pruned input channels, which zero whole A columns. Each product is
+// rounded to float32 before it is added (float32(a*b)), which the Go
+// spec forbids fusing into a multiply-add, so arm64 rounds as amd64
+// does.
 func matMulRows(cd, ad, bd []float32, lo, hi, k, n int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -100,10 +123,10 @@ func matMulRows(cd, ad, bd []float32, lo, hi, k, n int) {
 			}
 			brow := bd[p*n : (p+1)*n]
 			for j, bv := range brow {
-				c0[j] += av0 * bv
-				c1[j] += av1 * bv
-				c2[j] += av2 * bv
-				c3[j] += av3 * bv
+				c0[j] += float32(av0 * bv)
+				c1[j] += float32(av1 * bv)
+				c2[j] += float32(av2 * bv)
+				c3[j] += float32(av3 * bv)
 			}
 		}
 	}
@@ -119,7 +142,7 @@ func matMulRows(cd, ad, bd []float32, lo, hi, k, n int) {
 			}
 			brow := bd[p*n : (p+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -150,7 +173,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 // calling goroutine: A is m×k, B is n×k, dst is m×n and fully
 // overwritten. Bit-identical to MatMulTransB (each output element is one
 // self-contained dot product, so banding never changes it); compiled
-// plans use it for dense layers.
+// float plans use it for dense steps.
 func GemmTransBSerial(dst, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < n*k || len(dst) < m*n {
 		panic(fmt.Sprintf("tensor: GemmTransBSerial slice sizes %d/%d/%d too small for %dx%dx%d", len(a), len(b), len(dst), m, k, n))
@@ -165,7 +188,8 @@ func GemmTransBSerial(dst, a, b []float32, m, k, n int) {
 // product serializes on, and each loaded a-value feeds six accumulators.
 // Per-element accumulation order is unchanged (ascending p), so results
 // are bit-identical to the plain loop; 1x6 with no inner branch measured
-// fastest across this repo's conv/dense shapes.
+// fastest across this repo's dense shapes. Products are rounded before
+// the add, as in matMulRows. It is pure Go on every host.
 func matMulTransBRows(cd, ad, bd []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := ad[i*k : (i+1)*k]
@@ -180,12 +204,12 @@ func matMulTransBRows(cd, ad, bd []float32, lo, hi, k, n int) {
 			b5 := bd[(j+5)*k : (j+6)*k]
 			var s0, s1, s2, s3, s4, s5 float32
 			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-				s4 += av * b4[p]
-				s5 += av * b5[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
+				s4 += float32(av * b4[p])
+				s5 += float32(av * b5[p])
 			}
 			crow[j], crow[j+1], crow[j+2] = s0, s1, s2
 			crow[j+3], crow[j+4], crow[j+5] = s3, s4, s5
@@ -194,7 +218,7 @@ func matMulTransBRows(cd, ad, bd []float32, lo, hi, k, n int) {
 			brow := bd[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			crow[j] = s
 		}
@@ -219,7 +243,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 			}
 			crow := cd[i*n : (i+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
