@@ -8,8 +8,8 @@
 // register and run before AVX is known to exist, so they do not.
 
 // tailMask: the 8 float32 lanes loaded from tailMask<>+4*(8-r) are r
-// all-ones lanes followed by zeros, the VMASKMOVPS mask for an r-column
-// tail (1 <= r <= 8).
+// all-ones lanes followed by zeros, the VMASKMOVPS mask for r of 8
+// columns (0 <= r <= 8).
 DATA tailMask<>+0(SB)/4, $0xffffffff
 DATA tailMask<>+4(SB)/4, $0xffffffff
 DATA tailMask<>+8(SB)/4, $0xffffffff
@@ -47,29 +47,72 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// ROW16 adds one A value (broadcast from aval) times the 16 B values in
-// Y8:Y9 into the row's accumulators: a rounded product, then a rounded
-// sum, as the Go kernel's c[j] += float32(a * b).
-#define ROW16(aval, acc0, acc1) \
+// ROW adds one A value (broadcast from aval) times the tile's 16 B
+// values in Y8:Y9 into the row's accumulators: a rounded product, then
+// a rounded sum, as the Go kernel's c[j] += float32(a * b).
+#define ROW(aval, acc0, acc1) \
 	VBROADCASTSS aval, Y10; \
 	VMULPS       Y8, Y10, Y11; \
 	VADDPS       Y11, acc0, acc0; \
 	VMULPS       Y9, Y10, Y12; \
 	VADDPS       Y12, acc1, acc1
 
-// ROW8 is ROW16 for the 8 (masked) B values in Y8.
-#define ROW8(aval, acc) \
-	VBROADCASTSS aval, Y10; \
-	VMULPS       Y8, Y10, Y11; \
-	VADDPS       Y11, acc, acc
+// ROWS4 is ROW for the four rows of a gemmF32x4AVX2 block.
+#define ROWS4 \
+	ROW((R12), Y0, Y1); \
+	ROW((R12)(R8*1), Y2, Y3); \
+	ROW((R12)(R8*2), Y4, Y5); \
+	ROW((R12)(R10*1), Y6, Y7)
+
+// SKIP4 jumps to next when the four rows' A values at R12 are all ±0.
+#define SKIP4(next) \
+	MOVL (R12), AX; \
+	ORL  (R12)(R8*1), AX; \
+	ORL  (R12)(R8*2), AX; \
+	ORL  (R12)(R10*1), AX; \
+	ANDL $0x7fffffff, AX; \
+	JZ   next
+
+// SKIP1 jumps to next when the row's A value at R12 is ±0.
+#define SKIP1(next) \
+	MOVL (R12), AX; \
+	ANDL $0x7fffffff, AX; \
+	JZ   next
+
+// ZERO clears the accumulators Y0..Y7.
+#define ZERO \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7
+
+// TILEMASKS sets Y14 and Y15 to the lane masks of the two 8-column
+// halves of the last, partial tile of BX < 16 columns. Clobbers AX, CX
+// and R12.
+#define TILEMASKS \
+	MOVQ    $8, AX; \
+	CMPQ    BX, AX; \
+	CMOVQLT BX, AX; \
+	MOVQ    BX, CX; \
+	SUBQ    AX, CX; \
+	NEGQ    AX; \
+	NEGQ    CX; \
+	LEAQ    tailMask<>+32(SB), R12; \
+	VMOVDQU (R12)(AX*4), Y14; \
+	VMOVDQU (R12)(CX*4), Y15
 
 // func gemmF32x4AVX2(c, a, b *float32, k, n int)
 //
 // Rows 0..3 of C = A×B, where A's rows start at a with stride k, B is
-// k×n and C's rows start at c with stride n: matMulRows' four-row block.
-// A step p whose four A values are all ±0 is skipped, as in matMulRows.
-// Registers: SI a, DX B column tile, DI C column tile, R8 4k, R10 12k,
-// R9 4n, R11 12n, BX columns left, R12/R13 the A and B cursors, CX p.
+// k×n and C's rows start at c with stride n: matMulRows' four-row block,
+// in tiles of 16 columns and a last masked tile of the rest. A step p
+// whose four A values are all ±0 is skipped, as in matMulRows.
+// Registers: SI a, DX B tile, DI C tile, R8 4k, R10 12k, R9 4n, R11 12n,
+// BX columns left, R12/R13 the A and B cursors, CX p, Y14/Y15 the masks.
 TEXT ·gemmF32x4AVX2(SB), NOSPLIT, $0-40
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -82,44 +125,29 @@ TEXT ·gemmF32x4AVX2(SB), NOSPLIT, $0-40
 	SHLQ $2, R9
 	LEAQ (R9)(R9*2), R11
 
-x4col16:
-	CMPQ BX, $16
-	JLT  x4tail
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	MOVQ   SI, R12
-	MOVQ   DX, R13
-	MOVQ   k+24(FP), CX
-	TESTQ  CX, CX
-	JZ     x4store16
+x4tile:
+	CMPQ  BX, $16
+	JLT   x4last
+	ZERO
+	MOVQ  SI, R12
+	MOVQ  DX, R13
+	MOVQ  k+24(FP), CX
+	TESTQ CX, CX
+	JZ    x4store
 
-x4loop16:
-	MOVL (R12), AX
-	ORL  (R12)(R8*1), AX
-	ORL  (R12)(R8*2), AX
-	ORL  (R12)(R10*1), AX
-	ANDL $0x7fffffff, AX
-	JZ   x4next16
+x4loop:
+	SKIP4(x4next)
 	VMOVUPS (R13), Y8
 	VMOVUPS 32(R13), Y9
-	ROW16((R12), Y0, Y1)
-	ROW16((R12)(R8*1), Y2, Y3)
-	ROW16((R12)(R8*2), Y4, Y5)
-	ROW16((R12)(R10*1), Y6, Y7)
+	ROWS4
 
-x4next16:
+x4next:
 	ADDQ $4, R12
 	ADDQ R9, R13
 	DECQ CX
-	JNZ  x4loop16
+	JNZ  x4loop
 
-x4store16:
+x4store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, (DI)(R9*1)
@@ -131,60 +159,40 @@ x4store16:
 	ADDQ    $64, DI
 	ADDQ    $64, DX
 	SUBQ    $16, BX
-	JMP     x4col16
+	JMP     x4tile
 
-	// Up to 8 remaining columns at a time, through a lane mask.
-x4tail:
+x4last:
 	TESTQ BX, BX
 	JZ    x4done
-	MOVQ  $8, AX
-	CMPQ  BX, AX
-	CMOVQLT BX, AX
-	MOVQ  $8, CX
-	SUBQ  AX, CX
-	LEAQ  tailMask<>(SB), R12
-	VMOVDQU (R12)(CX*4), Y15
-	VXORPS Y0, Y0, Y0
-	VXORPS Y2, Y2, Y2
-	VXORPS Y4, Y4, Y4
-	VXORPS Y6, Y6, Y6
-	MOVQ   SI, R12
-	MOVQ   DX, R13
-	MOVQ   k+24(FP), CX
-	TESTQ  CX, CX
-	JZ     x4store8
+	TILEMASKS
+	ZERO
+	MOVQ  SI, R12
+	MOVQ  DX, R13
+	MOVQ  k+24(FP), CX
+	TESTQ CX, CX
+	JZ    x4lastStore
 
-x4loop8:
-	MOVL (R12), AX
-	ORL  (R12)(R8*1), AX
-	ORL  (R12)(R8*2), AX
-	ORL  (R12)(R10*1), AX
-	ANDL $0x7fffffff, AX
-	JZ   x4next8
-	VMASKMOVPS (R13), Y15, Y8
-	ROW8((R12), Y0)
-	ROW8((R12)(R8*1), Y2)
-	ROW8((R12)(R8*2), Y4)
-	ROW8((R12)(R10*1), Y6)
+x4lastLoop:
+	SKIP4(x4lastNext)
+	VMASKMOVPS (R13), Y14, Y8
+	VMASKMOVPS 32(R13), Y15, Y9
+	ROWS4
 
-x4next8:
+x4lastNext:
 	ADDQ $4, R12
 	ADDQ R9, R13
 	DECQ CX
-	JNZ  x4loop8
+	JNZ  x4lastLoop
 
-x4store8:
-	MOVQ $8, AX
-	CMPQ BX, AX
-	CMOVQLT BX, AX
-	VMASKMOVPS Y0, Y15, (DI)
-	VMASKMOVPS Y2, Y15, (DI)(R9*1)
-	VMASKMOVPS Y4, Y15, (DI)(R9*2)
-	VMASKMOVPS Y6, Y15, (DI)(R11*1)
-	LEAQ (DI)(AX*4), DI
-	LEAQ (DX)(AX*4), DX
-	SUBQ AX, BX
-	JMP  x4tail
+x4lastStore:
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
+	VMASKMOVPS Y2, Y14, (DI)(R9*1)
+	VMASKMOVPS Y3, Y15, 32(DI)(R9*1)
+	VMASKMOVPS Y4, Y14, (DI)(R9*2)
+	VMASKMOVPS Y5, Y15, 32(DI)(R9*2)
+	VMASKMOVPS Y6, Y14, (DI)(R11*1)
+	VMASKMOVPS Y7, Y15, 32(DI)(R11*1)
 
 x4done:
 	VZEROUPPER
@@ -202,78 +210,64 @@ TEXT ·gemmF32x1AVX2(SB), NOSPLIT, $0-40
 	MOVQ BX, R9
 	SHLQ $2, R9
 
-x1col16:
-	CMPQ BX, $16
-	JLT  x1tail
+x1tile:
+	CMPQ   BX, $16
+	JLT    x1last
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	MOVQ   SI, R12
 	MOVQ   DX, R13
 	MOVQ   k+24(FP), CX
 	TESTQ  CX, CX
-	JZ     x1store16
+	JZ     x1store
 
-x1loop16:
-	MOVL (R12), AX
-	ANDL $0x7fffffff, AX
-	JZ   x1next16
+x1loop:
+	SKIP1(x1next)
 	VMOVUPS (R13), Y8
 	VMOVUPS 32(R13), Y9
-	ROW16((R12), Y0, Y1)
+	ROW((R12), Y0, Y1)
 
-x1next16:
+x1next:
 	ADDQ $4, R12
 	ADDQ R9, R13
 	DECQ CX
-	JNZ  x1loop16
+	JNZ  x1loop
 
-x1store16:
+x1store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ    $64, DI
 	ADDQ    $64, DX
 	SUBQ    $16, BX
-	JMP     x1col16
+	JMP     x1tile
 
-x1tail:
-	TESTQ BX, BX
-	JZ    x1done
-	MOVQ  $8, AX
-	CMPQ  BX, AX
-	CMOVQLT BX, AX
-	MOVQ  $8, CX
-	SUBQ  AX, CX
-	LEAQ  tailMask<>(SB), R12
-	VMOVDQU (R12)(CX*4), Y15
+x1last:
+	TESTQ  BX, BX
+	JZ     x1done
+	TILEMASKS
 	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
 	MOVQ   SI, R12
 	MOVQ   DX, R13
 	MOVQ   k+24(FP), CX
 	TESTQ  CX, CX
-	JZ     x1store8
+	JZ     x1lastStore
 
-x1loop8:
-	MOVL (R12), AX
-	ANDL $0x7fffffff, AX
-	JZ   x1next8
-	VMASKMOVPS (R13), Y15, Y8
-	ROW8((R12), Y0)
+x1lastLoop:
+	SKIP1(x1lastNext)
+	VMASKMOVPS (R13), Y14, Y8
+	VMASKMOVPS 32(R13), Y15, Y9
+	ROW((R12), Y0, Y1)
 
-x1next8:
+x1lastNext:
 	ADDQ $4, R12
 	ADDQ R9, R13
 	DECQ CX
-	JNZ  x1loop8
+	JNZ  x1lastLoop
 
-x1store8:
-	MOVQ $8, AX
-	CMPQ BX, AX
-	CMOVQLT BX, AX
-	VMASKMOVPS Y0, Y15, (DI)
-	LEAQ (DI)(AX*4), DI
-	LEAQ (DX)(AX*4), DX
-	SUBQ AX, BX
-	JMP  x1tail
+x1lastStore:
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
 
 x1done:
 	VZEROUPPER

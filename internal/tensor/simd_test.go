@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bufio"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -235,6 +236,46 @@ func TestAssemblyHasNoFMA(t *testing.T) {
 		fh.Close()
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGemmKernels times both kernel paths on the six LeNet-EE conv
+// GEMMs (BenchmarkGemmKernels/<f32|int8>/<go|avx2>/<m>x<k>x<n>) and
+// reports MACs/ns; the int8 runs include the requantization epilogue.
+func BenchmarkGemmKernels(b *testing.B) {
+	r := rand.New(rand.NewSource(29))
+	for _, avx2 := range []bool{false, true} {
+		if avx2 && !cpuHasAVX2() {
+			continue
+		}
+		path := map[bool]string{false: "go", true: "avx2"}[avx2]
+		for _, s := range gemmShapes[:6] {
+			m, k, n := s[0], s[1], s[2]
+			macs := float64(m * k * n)
+			name := fmt.Sprintf("%s/%dx%dx%d", path, m, k, n)
+			a, bm := New(m, k), New(k, n)
+			FillUniform(a, NewRNG(uint64(k)), -1, 1)
+			FillUniform(bm, NewRNG(uint64(n)), 0, 1)
+			c := make([]float32, m*n)
+			b.Run("f32/"+name, func(b *testing.B) {
+				setAVX2(b, avx2)
+				for i := 0; i < b.N; i++ {
+					GemmSerial(c, a.Data, bm.Data, m, k, n)
+				}
+				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
+			})
+			w, bt, bias := int8Operands(r, m, k, n)
+			dst := make([]uint8, m*n)
+			b.Run("int8/"+name, func(b *testing.B) {
+				setAVX2(b, avx2)
+				pk := PackInt8Panels(w, m, k)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					GemmInt8PackedReq(dst, pk, bt, bias, n, 1<<30, 38)
+				}
+				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MACs/ns")
+			})
 		}
 	}
 }
