@@ -7,19 +7,27 @@ GO ?= go
 # serve_bench_test.go); bench-json archives exactly these so the perf
 # trajectory is comparable PR to PR.
 MICROBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8Fast|InferBatched1|InferBatched4|InferBatched16|InferBatched1Int8Fast|InferBatched4Int8Fast|InferBatched16Int8Fast|ServerInferThroughput|LegacyInferToExit3|IncrementalResume|LegacyIncrementalResume|PlanCompile|PlanCompileInt8Fast|TrainStep|ApplyCompressionPolicy|QuantizeWeights8bit|QTableUpdate|SolarTraceGeneration|SynthCIFARSample|EngineRunToCompletion|FullSimulationEpisode|FleetStep|FleetShard)$$
-BENCH_JSON ?= BENCH_pr10.json
+BENCH_JSON ?= BENCH_pr19.json
 
 # The hot-path subset bench-smoke gates in CI: a kernel regression that
 # breaks inference or the episode loop fails the build.
 SMOKEBENCH = ^Benchmark(InferToExit1|InferToExit3|InferToExit3Int8Fast|IncrementalResume|FullSimulationEpisode)$$
 
-.PHONY: all build test test-cpu race bench bench-smoke bench-json fuzz-smoke artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
+.PHONY: all build cross test test-cpu race bench bench-smoke bench-json fuzz-smoke artifact-check infer-smoke crash-smoke fleet-smoke chaos-soak fmt fmt-check lint ehlint shellcheck staticcheck clean
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## cross: build every package for arm64 and vet the kernel packages
+## there, so the pure-Go kernels that hosts without the amd64 assembly
+## run keep compiling (stock go vet on amd64 runs asmdecl over the
+## assembly's Go declarations)
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/plan/
 
 ## test: run the full test suite
 test:
@@ -58,14 +66,17 @@ bench-json:
 	@echo "wrote $(BENCH_JSON)"
 
 ## fuzz-smoke: run each fuzz target for 20 s: the /v1/infer
-## single-pass decoder against encoding/json, the artifact decoder, and
-## the integer pipeline's fixed-point requantization (requantFix31's
-## exact (mul, shift) pair and the packed GEMM's fused epilogue against
-## math/big). go test -fuzz takes one target per run.
+## single-pass decoder against encoding/json, the artifact decoder, the
+## integer pipeline's fixed-point requantization (requantFix31's exact
+## (mul, shift) pair and the packed GEMM's fused epilogue against
+## math/big), and the AVX2 GEMM kernels against the pure-Go float
+## kernel and an int32 reference (it skips on CPUs without AVX2).
+## go test -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=20s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz='^FuzzRequantFix31$$' -fuzztime=20s ./internal/plan
+	$(GO) test -run='^$$' -fuzz='^FuzzGemmKernels$$' -fuzztime=20s ./internal/tensor
 
 ## artifact-check: decode the checked-in golden deployment artifact
 ## (wire-format gate: drift without a deliberate version bump fails) and
@@ -137,7 +148,7 @@ staticcheck:
 	staticcheck ./...
 
 ## ci: everything the CI workflow gates on
-ci: fmt-check lint build test-cpu race fuzz-smoke bench artifact-check infer-smoke crash-smoke fleet-smoke
+ci: fmt-check lint build cross test-cpu race fuzz-smoke bench artifact-check infer-smoke crash-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

@@ -25,7 +25,9 @@ var BitIdent = &analysis.Analyzer{
 		"range-over-map loops feeding float state, math.FMA (fused rounding " +
 		"differs from mul+add), and goroutine closures writing captured " +
 		"scalar float accumulators (sharded slice writes à la " +
-		"tensor.ParallelFor are the blessed pattern)",
+		"tensor.ParallelFor are the blessed pattern). The analyzer reads Go " +
+		"source only; internal/tensor's TestAssemblyHasNoFMA covers the " +
+		"package's amd64 assembly, failing on any fused multiply-add there",
 	Run: runBitIdent,
 }
 
