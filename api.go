@@ -190,7 +190,7 @@ const (
 // choice" and resolves to BackendPlan: a compiled zero-allocation
 // inference plan whose float32 output is bit-identical to the legacy
 // layer walk. BackendInt8Fast runs the integer pipeline the MCU
-// executes (int8 weights packed into dual-lane panels, uint8
+// executes (int8 weights packed once for the host's GEMM kernel, uint8
 // activations, int32 accumulators, fixed-point requantization): the
 // fastest backend, its logits a deterministic function of weights and
 // input, holding statistical (per-exit accuracy) rather than bitwise

@@ -40,18 +40,21 @@
 //     compiler that turns the multi-exit network into a zero-allocation
 //     program — precomputed shapes and conv geometry, a reusable
 //     double-buffered activation arena, fused conv+bias+ReLU steps over
-//     register-blocked kernels — with float32 output bit-identical to
-//     the layer walk, plus one integer backend, int8fast ("int8" names
-//     it too), selectable via Session.WithBackend,
-//     RuntimeConfig.Backend, a GridSpec's "backend" field, or a
-//     /v1/infer request's "backend" field: int8 weights packed at
-//     compile time into dual-lane uint64 panels, uint8 activations,
-//     int32 accumulators and a fused fixed-point requantization, with
-//     batched serving lanes. Its logits are a deterministic function of
-//     weights and input (pinned bit for bit on the golden artifact),
-//     and it outruns the float32 plan under a statistical
-//     per-exit-accuracy parity gate; plans are cached per deployment
-//     alongside the experiment engine's deployment cache;
+//     register-blocked GEMM kernels (AVX2 assembly on amd64 CPUs that
+//     have it, pure Go everywhere else, the same bits either way) —
+//     with float32 output bit-identical to the layer walk, plus one
+//     integer backend, int8fast ("int8" names it too), selectable via
+//     Session.WithBackend, RuntimeConfig.Backend, a GridSpec's
+//     "backend" field, or a /v1/infer request's "backend" field: int8
+//     weights packed at compile time for the host's kernel (int16
+//     panels for a VPMADDWD kernel on AVX2 CPUs, dual-lane uint64
+//     panels elsewhere), uint8 activations, exact int32 accumulators
+//     and a fused fixed-point requantization, with batched serving
+//     lanes. Its logits are a deterministic function of weights and
+//     input (pinned bit for bit on the golden artifact), and it
+//     outruns the float32 plan under a statistical per-exit-accuracy
+//     parity gate; plans are cached per deployment alongside the
+//     experiment engine's deployment cache;
 //
 //   - the HTTP serving layer (internal/serve, cmd/ehserved): submit
 //     declarative GridSpecs, poll progress, stream per-point results as

@@ -28,13 +28,13 @@ const (
 	// path, kept as the semantic reference.
 	BackendLegacy
 	// BackendInt8Fast runs the integer pipeline (plan.CompileInt8Fast):
-	// int8 weights pre-packed into dual-lane panels, uint8 activations,
-	// int32 accumulators and a fused fixed-point requantization — the
-	// arithmetic a real MCU executes, with batched serving lanes. Its
-	// logits are a deterministic function of weights and input; against
-	// the float backend it holds a statistical parity contract
-	// (per-exit accuracy within ε), and it is the fastest backend on a
-	// scalar host. "int8" names it too.
+	// int8 weights pre-packed for the host's GEMM kernel, uint8
+	// activations, int32 accumulators and a fused fixed-point
+	// requantization — the arithmetic a real MCU executes, with batched
+	// serving lanes. Its logits are a deterministic function of weights
+	// and input; against the float backend it holds a statistical parity
+	// contract (per-exit accuracy within ε), and it is the fastest
+	// backend. "int8" names it too.
 	BackendInt8Fast
 )
 

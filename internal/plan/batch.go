@@ -23,7 +23,8 @@ import (
 // the cache, a band's do not, so the widened working set evicted
 // weights and activations between steps and per-image cost *rose* with
 // batch size, while the batch-wide dense GEMM bought nothing because
-// the serial kernels already run at scalar peak. The batch dimension
+// the serial kernels already ran at scalar peak (measured before the
+// AVX2 kernels). The batch dimension
 // pays off through the lanes: on a w-core host per-image wall time
 // divides by min(batch, w); on a single core it matches the N=1 plan
 // exactly.

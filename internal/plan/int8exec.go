@@ -4,11 +4,12 @@ import "repro/internal/tensor"
 
 // Int8 execution: the packed-weight integer pipeline behind
 // CompileInt8Fast. Uint8 activation codes flow between steps, and every
-// weighted layer runs the fused dual-lane GEMM (tensor.GemmInt8PackedReq)
-// against weights repacked at compile time: im2col writes directly in
-// the transposed panel order the kernel consumes, accumulators live in
-// registers for the whole dot product, and requantize+ReLU happens in
-// the GEMM epilogue through the layer's fixed-point (multiplier, shift)
+// weighted layer runs the fused packed GEMM (tensor.GemmInt8PackedReq:
+// the AVX2 kernel on amd64 CPUs with AVX2, the dual-lane pure-Go kernel
+// elsewhere) against weights repacked at compile time: im2col writes
+// directly in the transposed column order the kernel consumes, each
+// dot product is summed exactly in int32, and requantize+ReLU happens
+// in the GEMM epilogue through the layer's fixed-point (multiplier, shift)
 // pair (negative accumulators clamp to the zero code). Classifier heads
 // dequantize accumulators to float32 logits, so State.Predicted and
 // Confidence work identically across backends.

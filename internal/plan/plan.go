@@ -13,25 +13,30 @@
 //
 // Two backends lower from the same compiled geometry:
 //
-//   - Float32 (Compile): drives the exact serial kernels the layer walk
-//     uses (tensor.GemmSerial / GemmTransBSerial / Im2ColSlice /
-//     nn.FakeQuantizeSlice), in the same order, against arena storage —
-//     plan output is bit-identical to the layer walk at any worker
-//     count. Weights are live views into the network's parameters, so a
-//     plan follows in-place weight updates without recompiling; shapes,
-//     geometry, and quantization settings are snapshotted at compile
-//     time.
+//   - Float32 (Compile): conv steps drive the layer walk's own lowering
+//     and GEMM (tensor.Im2ColSlice + tensor.GemmSerial), dense steps
+//     the dot-product GEMM (tensor.GemmTransBSerial), and quantized
+//     activations nn.FakeQuantizeSlice, in the layer walk's order,
+//     against arena storage — plan output is bit-identical to the layer
+//     walk at any worker count. On an amd64 CPU with AVX2 GemmSerial
+//     runs the AVX2 kernel, elsewhere the pure-Go one; the two give the
+//     same bits. Weights are live views into the network's parameters,
+//     so a plan follows in-place weight updates without recompiling;
+//     shapes, geometry, and quantization settings are snapshotted at
+//     compile time.
 //
 //   - Int8 (CompileInt8Fast): the deployment-faithful integer pipeline —
-//     int8 weights packed once into dual-lane panels, uint8
-//     activations, int32 accumulators held in registers, and ReLU fused
-//     with a fixed-point (multiplier, shift) requantization, the
-//     integer-only scheme of Jacob et al. (arXiv:1712.05877). Scales are
-//     bound statically, so the hot loop is integer arithmetic up to one
-//     float32 multiply per classifier logit, and its logits are a
-//     deterministic function of weights and input at any lane count.
-//     It approximates the float result (gated by per-exit agreement
-//     tests); it does not reproduce it bitwise.
+//     int8 weights packed once for the host's GEMM kernel (int16 panels
+//     for the AVX2 kernel on amd64 CPUs with AVX2, dual-lane panels for
+//     the pure-Go kernel elsewhere), uint8 activations, exact int32
+//     accumulators, and ReLU fused with a fixed-point (multiplier,
+//     shift) requantization, the integer-only scheme of Jacob et al.
+//     (arXiv:1712.05877). Scales are bound statically, so the hot loop
+//     is integer arithmetic up to one float32 multiply per classifier
+//     logit, and its logits are a deterministic function of weights and
+//     input at any lane count and on either kernel. It approximates the
+//     float result (gated by per-exit agreement tests); it does not
+//     reproduce it bitwise.
 //
 // A Plan is immutable and safe to share; each goroutine runs it through
 // its own Exec, and suspended inferences checkpoint into caller-owned
@@ -133,7 +138,7 @@ type step struct {
 	inShape, outShape shape
 
 	// int8 lowering (populated by CompileInt8Fast instead of w/bias):
-	// the weights repacked once into the dual-lane panel layout, the
+	// the weights repacked once into the host kernel's panel layout, the
 	// bias in accumulator units, and either the 31-bit fixed-point
 	// requantization pair (mulFix, shiftFix) the packed-GEMM epilogue
 	// fuses, or, on classifier heads, the scale that dequantizes
@@ -242,7 +247,7 @@ func Compile(net *multiexit.Network, geom Geometry) (*Plan, error) {
 // given input geometry: int8 weights at each layer's quantization
 // bitwidth (clamped to 8), uint8 activations with statically bound
 // scales, int32 accumulators. Weights are repacked once, here, into the
-// dual-lane panel layout (tensor.PackInt8Panels); requantize+ReLU is
+// host kernel's panel layout (tensor.PackInt8Panels); requantize+ReLU is
 // fused into the GEMM epilogue through a 31-bit fixed-point
 // (multiplier, shift) pair bound per layer; activations flow in
 // transposed im2col order; and float arithmetic survives only at the
@@ -504,7 +509,7 @@ func clampActBits(bits int) int {
 }
 
 // lowerInt8 quantizes one weighted layer for the int8 backend, repacks
-// the quantized weights into the dual-lane panel layout, and binds the
+// the quantized weights into the host kernel's panel layout, and binds the
 // scales the fused kernels consume. actMax is the layer's
 // requantization ceiling.
 func (st *step) lowerInt8(w []float32, bias []float32, layerBits int, final bool, actMax float64, inScale *float64) error {

@@ -50,6 +50,10 @@ import (
 // per pass, matching the float kernels' 4-wide row blocking.
 const int8PanelRows = 2
 
+// int8AVX2Cols bounds the activation columns one AVX2 dot-kernel call
+// covers, so its 4×int8AVX2Cols int32 sums fit a stack array.
+const int8AVX2Cols = 64
+
 // MaxInt8FastK bounds the reduction depth of the packed kernels: a
 // k-deep unsigned lane accumulates at most k·255·255, which must stay
 // below 2^31 so lane extraction fits int32 (and lanes can never carry

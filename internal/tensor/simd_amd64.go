@@ -91,10 +91,6 @@ func packInt8AVX2(w []int8, m, k int) []int16 {
 	return out
 }
 
-// int8AVX2Cols bounds the activation columns one dotInt8x4AVX2 call
-// covers, so its 4×int8AVX2Cols int32 sums fit a stack array.
-const int8AVX2Cols = 64
-
 // dotAVX2 fills sums[4j+r] with the exact int32 dot products of weight
 // rows i..i+3 and the nc activation columns of x (nc <= int8AVX2Cols,
 // k bytes each). Rows past m are zero padding and sum to 0.

@@ -14,8 +14,6 @@ func packInt8AVX2(w []int8, m, k int) []int16 {
 	panic("tensor: AVX2 kernel on a non-amd64 host")
 }
 
-const int8AVX2Cols = 64
-
 func (p *PackedInt8) dotAVX2(sums *[4 * int8AVX2Cols]int32, i int, x []uint8, nc int) {
 	panic("tensor: AVX2 kernel on a non-amd64 host")
 }
