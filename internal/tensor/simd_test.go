@@ -19,13 +19,6 @@ func setAVX2(t testing.TB, on bool) {
 	t.Cleanup(func() { useAVX2 = prev })
 }
 
-// needAVX2 skips on hosts whose CPU cannot run the AVX2 kernels.
-func needAVX2(t testing.TB) {
-	if !cpuHasAVX2() {
-		t.Skip("CPU has no AVX2: only the pure-Go kernels run here")
-	}
-}
-
 // gemmShapes are the six LeNet-EE conv GEMMs (m×k×n = output channels
 // × filter taps × output positions) plus the kernels' tails: m mod 4,
 // n mod 16, n < 8, k = 0 and k < 16, and empty products.
@@ -198,7 +191,9 @@ func FuzzGemmKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(16), uint64(3), false)
 	f.Add(uint8(36), uint8(80), uint8(25), uint64(4), true)
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, seed uint64, nonFinite bool) {
-		needAVX2(t)
+		if !cpuHasAVX2() {
+			t.Skip("CPU has no AVX2: only the pure-Go kernels run here")
+		}
 		m, k, n := int(mb)%81, int(kb)%81, int(nb)%81
 		r := rand.New(rand.NewSource(int64(seed)))
 		a, b := gemmOperands(r, m, k, n, nonFinite)
