@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/multiexit"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -97,6 +98,46 @@ func TestFloatParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFloatParityWideKernels runs the float plan against the layer walk
+// on convolutions whose kernels are wider than the padded map at stride
+// 1 (a 7×7 pad-3 conv on a 3×2 map, a 5×5 pad-2 conv on a 1×1 map), so
+// some filter taps read only padding. Compile accepts these geometries,
+// as it would from an uploaded artifact.
+func TestFloatParityWideKernels(t *testing.T) {
+	wide := nn.NewConv2D("Wide", 2, 4, 7, 7, 1, 3)
+	point := nn.NewConv2D("Point", 4, 3, 5, 5, 1, 2)
+	head0 := nn.NewDense("Head0", 4*3*2, 3)
+	head0.Final = true
+	head1 := nn.NewDense("Head1", 3, 3)
+	head1.Final = true
+	net := &multiexit.Network{
+		Segments: []*nn.Sequential{
+			nn.NewSequential("seg0", wide, nn.NewReLU("Wide.relu")),
+			nn.NewSequential("seg1", nn.NewMaxPool2D("Wide.pool", 2, 2), point, nn.NewReLU("Point.relu")),
+		},
+		Branches: []*nn.Sequential{
+			nn.NewSequential("branch0", nn.NewFlatten("Wide.flatten"), head0),
+			nn.NewSequential("branch1", nn.NewFlatten("Point.flatten"), head1),
+		},
+		Classes: 3,
+	}
+	rng := tensor.NewRNG(5)
+	for _, s := range append(net.Segments, net.Branches...) {
+		nn.InitHe(s, rng)
+	}
+	p, err := Compile(net, Geometry{C: 2, H: 3, W: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, st := p.NewExec(), p.NewState()
+	img := tensor.New(2, 3, 2)
+	tensor.FillUniform(img, rng, 0, 1)
+	for exit := 0; exit < net.NumExits(); exit++ {
+		ex.InferTo(st, img, exit)
+		assertLogitsEqual(t, st, net.InferTo(img, exit), fmt.Sprintf("InferTo exit %d", exit))
 	}
 }
 

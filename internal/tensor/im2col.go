@@ -93,7 +93,10 @@ func Im2ColSlice(dst, src []float32, g ConvGeom) {
 				} else {
 					hi = min(hi, last/g.StrideW+1)
 				}
-				lo = min(lo, hi)
+				if lo >= hi { // this tap reads padding at every column
+					clear(dstRow)
+					continue
+				}
 				for oh := 0; oh < outH; oh++ {
 					seg := dstRow[oh*outW : (oh+1)*outW]
 					ih := oh*g.StrideH - g.PadH + kh

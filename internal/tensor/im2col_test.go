@@ -138,7 +138,9 @@ func TestIm2ColPaddingContributesZero(t *testing.T) {
 // TestIm2ColSliceMatchesDefinition checks every element of the lowering
 // against its definition, col[(c,kh,kw)][(oh,ow)] = img[c][ih][iw] or 0
 // for a padded tap, over strides, paddings wider than the kernel's
-// reach and a dirty destination.
+// reach, kernels wider than the padded map at stride 1 (taps that read
+// only padding) and a dirty destination, then over every small width
+// geometry ConvGeom.Validate accepts.
 func TestIm2ColSliceMatchesDefinition(t *testing.T) {
 	rng := NewRNG(23)
 	geoms := []ConvGeom{
@@ -147,6 +149,21 @@ func TestIm2ColSliceMatchesDefinition(t *testing.T) {
 		{InC: 2, InH: 9, InW: 7, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
 		{InC: 1, InH: 4, InW: 6, KH: 2, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 4},
 		{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 2, PadW: 2},
+		{InC: 1, InH: 1, InW: 1, KH: 1, KW: 5, StrideH: 1, StrideW: 1, PadW: 2},
+		{InC: 1, InH: 3, InW: 2, KH: 3, KW: 7, StrideH: 1, StrideW: 1, PadH: 1, PadW: 3},
+		{InC: 2, InH: 1, InW: 1, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+	}
+	for inW := 1; inW <= 4; inW++ {
+		for kw := 1; kw <= 7; kw++ {
+			for padW := 0; padW <= 3; padW++ {
+				for sw := 1; sw <= 3; sw++ {
+					g := ConvGeom{InC: 1, InH: 2, InW: inW, KH: 3, KW: kw, StrideH: 1, StrideW: sw, PadH: 1, PadW: padW}
+					if g.Validate() == nil {
+						geoms = append(geoms, g)
+					}
+				}
+			}
+		}
 	}
 	for _, g := range geoms {
 		img := New(g.InC, g.InH, g.InW)
