@@ -5,6 +5,7 @@ package ehinfer
 // selection, and the choice of search algorithm.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -22,7 +23,7 @@ func BenchmarkAblationUniformVsNonuniform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nonRows, err := CompareSystems(sc, non, CompareConfig{})
+		nonRows, err := NewSession().CompareSystems(context.Background(), sc, non, CompareConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,17 +159,18 @@ func BenchmarkAblationSearchers(b *testing.B) {
 			Storage:  sc.Storage,
 			Seed:     42,
 		}
-		for name, fn := range map[string]func(*Network, *Surrogate, SearchConfig) (*SearchResult, error){
-			"ddpg":      SearchCompression,
-			"random":    SearchCompressionRandom,
-			"annealing": SearchCompressionAnnealing,
+		session := NewSession()
+		for name, fn := range map[string]func(context.Context, *Network, *Surrogate, SearchConfig) (*SearchResult, error){
+			"ddpg":      session.SearchCompression,
+			"random":    session.SearchCompressionRandom,
+			"annealing": session.SearchCompressionAnnealing,
 		} {
 			net := LeNetEE(NewRNG(3))
 			sur, err := NewSurrogate(net, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := fn(net, sur, cfg)
+			res, err := fn(context.Background(), net, sur, cfg)
 			if err != nil && res.Policy == nil {
 				results[name] = 0
 				continue

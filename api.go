@@ -106,8 +106,6 @@ type (
 type (
 	// ExperimentGrid is a declarative cross product of scenario axes.
 	ExperimentGrid = exper.Grid
-	// ExperimentEngine shards a grid's points across worker goroutines.
-	ExperimentEngine = exper.Engine
 	// ExperimentResult is the outcome of one grid point.
 	ExperimentResult = exper.Result
 	// GridResult is a completed grid run with aggregation and JSON output.
@@ -149,14 +147,6 @@ type (
 	// FleetResult is a completed fleet run.
 	FleetResult = fleet.Result
 )
-
-// NewExperimentEngine returns an engine with the given worker cap
-// (<= 0 means one worker per core).
-//
-// Deprecated: use NewSession(WithWorkers(workers)) — the Session adds
-// context cancellation, streaming results, and deployment caching on the
-// same engine, with bit-identical output.
-func NewExperimentEngine(workers int) *ExperimentEngine { return exper.NewEngine(workers) }
 
 // PaperCompareGrid is the Fig. 5 / §V-D setup as a one-point grid.
 func PaperCompareGrid(seed uint64, warmup int, mode PolicyMode) *ExperimentGrid {
@@ -284,28 +274,6 @@ func Fig1bUniform(net *Network) *Policy { return compress.Fig1bUniform(net) }
 // Fig1bNonuniform returns the nonuniform reference policy of Fig. 1b.
 func Fig1bNonuniform() *Policy { return compress.Fig1bNonuniform() }
 
-// SearchCompression runs the paper's dual-agent DDPG compression search.
-//
-// Deprecated: use Session.SearchCompression, which takes a context so a
-// multi-minute search can be canceled between episodes.
-func SearchCompression(net *Network, sur *Surrogate, cfg SearchConfig) (*SearchResult, error) {
-	return search.RL(context.Background(), net, sur, cfg)
-}
-
-// SearchCompressionRandom is the random-search ablation baseline.
-//
-// Deprecated: use Session.SearchCompressionRandom.
-func SearchCompressionRandom(net *Network, sur *Surrogate, cfg SearchConfig) (*SearchResult, error) {
-	return search.Random(context.Background(), net, sur, cfg)
-}
-
-// SearchCompressionAnnealing is the simulated-annealing ablation.
-//
-// Deprecated: use Session.SearchCompressionAnnealing.
-func SearchCompressionAnnealing(net *Network, sur *Surrogate, cfg SearchConfig) (*SearchResult, error) {
-	return search.Annealing(context.Background(), net, sur, cfg)
-}
-
 // SyntheticSolarTrace generates a diurnal solar harvesting trace.
 func SyntheticSolarTrace(cfg SolarConfig) *Trace { return energy.SyntheticSolarTrace(cfg) }
 
@@ -346,37 +314,13 @@ func NewRuntime(d *Deployed, cfg RuntimeConfig) (*Runtime, error) {
 }
 
 // RunProposed runs the paper's proposed runtime alone (no baselines) on
-// a scenario — the single-system building block behind CompareSystems
-// and the experiment engine. It is the natural way to exercise a
-// deployment restored from an artifact (Session.Deploy): the scenario's
-// TestSet switches it to empirical mode where the network actually
-// executes on cfg.Backend.
+// a scenario — the single-system building block behind
+// Session.CompareSystems and the experiment engine. It is the natural
+// way to exercise a deployment restored from an artifact
+// (Session.Deploy): the scenario's TestSet switches it to empirical
+// mode where the network actually executes on cfg.Backend.
 func RunProposed(ctx context.Context, sc *Scenario, d *Deployed, cfg CompareConfig) (*Report, error) {
 	return core.RunProposed(ctx, sc, d, cfg)
-}
-
-// CompareSystems runs ours plus the three baselines on a scenario.
-//
-// Deprecated: use Session.CompareSystems, which takes a context so the
-// comparison can be canceled between systems and training episodes.
-func CompareSystems(sc *Scenario, d *Deployed, cfg CompareConfig) ([]SystemRow, error) {
-	return core.CompareSystems(context.Background(), sc, d, cfg)
-}
-
-// LearningCurve runs the Fig. 7a runtime-adaptation experiment.
-//
-// Deprecated: use Session.LearningCurve, which takes a context checked
-// between episodes.
-func LearningCurve(sc *Scenario, d *Deployed, episodes int) (qcurve, staticCurve []float64, err error) {
-	return core.LearningCurve(context.Background(), sc, d, episodes)
-}
-
-// ExitUsage runs the Fig. 7b exit-histogram experiment.
-//
-// Deprecated: use Session.ExitUsage, which takes a context checked
-// between warm-up episodes.
-func ExitUsage(sc *Scenario, d *Deployed, warmup int) (qhist, shist []int, qproc, sproc int, err error) {
-	return core.ExitUsage(context.Background(), sc, d, warmup)
 }
 
 // AllBaselines returns SonicNet, SpArSeNet, and LeNet-Cifar.

@@ -4,6 +4,7 @@ package ehinfer
 // the README's quickstart does.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestQuickstartPath(t *testing.T) {
 	if d.WeightBytes > PaperSTargetBytes {
 		t.Fatalf("deployed weights %d B exceed the paper's 16 KB budget", d.WeightBytes)
 	}
-	rows, err := CompareSystems(sc, d, CompareConfig{})
+	rows, err := NewSession().CompareSystems(context.Background(), sc, d, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFacadeSearchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SearchCompressionRandom(net, sur, SearchConfig{
+	res, err := NewSession().SearchCompressionRandom(context.Background(), net, sur, SearchConfig{
 		Episodes: 25, Trace: sc.Trace, Schedule: sc.Schedule, Storage: sc.Storage, Seed: 3,
 	})
 	if err != nil {

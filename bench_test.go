@@ -10,6 +10,7 @@ package ehinfer
 // EXPERIMENTS.md records the outputs.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -81,7 +82,7 @@ func BenchmarkFig4PolicySearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err = SearchCompression(net, sur, SearchConfig{
+		res, err = NewSession().SearchCompression(context.Background(), net, sur, SearchConfig{
 			Episodes: 60,
 			Trace:    sc.Trace,
 			Schedule: sc.Schedule,
@@ -109,7 +110,7 @@ func BenchmarkFig5IEpmJ(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err = CompareSystems(sc, d, CompareConfig{})
+		rows, err = NewSession().CompareSystems(context.Background(), sc, d, CompareConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func BenchmarkFig7aRuntimeLearning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q, s, err = LearningCurve(sc, d, 16)
+		q, s, err = NewSession().LearningCurve(context.Background(), sc, d, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func BenchmarkFig7bExitUsage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		qh, sh, qp, sp, err = ExitUsage(sc, d, 12)
+		qh, sh, qp, sp, err = NewSession().ExitUsage(context.Background(), sc, d, 12)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func BenchmarkLatencyPerEvent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err = CompareSystems(sc, d, CompareConfig{})
+		rows, err = NewSession().CompareSystems(context.Background(), sc, d, CompareConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,13 +45,14 @@ func main() {
 		Seed:     *seed,
 	}
 
-	searchFn := ehinfer.SearchCompression
+	session := ehinfer.NewSession()
+	searchFn := session.SearchCompression
 	switch *algo {
 	case "ddpg":
 	case "random":
-		searchFn = ehinfer.SearchCompressionRandom
+		searchFn = session.SearchCompressionRandom
 	case "annealing":
-		searchFn = ehinfer.SearchCompressionAnnealing
+		searchFn = session.SearchCompressionAnnealing
 	default:
 		fmt.Fprintf(os.Stderr, "compress-search: unknown algorithm %q\n", *algo)
 		os.Exit(2)
@@ -59,7 +61,7 @@ func main() {
 	fmt.Printf("searching (%s, %d episodes, F ≤ %.2f MFLOPs, S ≤ %.0f KB)...\n",
 		*algo, *episodes, *ftarget, *starget)
 	start := time.Now()
-	res, err := searchFn(net, sur, cfg)
+	res, err := searchFn(context.Background(), net, sur, cfg)
 	if err != nil && res.Policy == nil {
 		fmt.Fprintln(os.Stderr, "compress-search:", err)
 		os.Exit(1)

@@ -57,7 +57,10 @@ func main() {
 	grid := exper.PaperCompareGrid(*seed, *episodes, mode)
 	grid.Events = *events
 	if *traceCSV != "" {
-		grid.Traces = []exper.TraceSpec{{Name: "csv", Kind: exper.TraceCSV, Path: *traceCSV}}
+		if err := ehinfer.RegisterTrace("csv", ehinfer.TraceFromCSV(*traceCSV)); err != nil {
+			fatal(err)
+		}
+		grid.Traces = []exper.TraceSpec{exper.RegisteredTrace("csv")}
 	} else {
 		grid.Traces = []exper.TraceSpec{exper.SolarTrace(int(*hours*3600), *peak)}
 	}

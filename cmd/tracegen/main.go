@@ -3,25 +3,23 @@
 //
 // Generated trace CSVs use the exact codec the experiment engine reads
 // (energy.WriteTraceCSV / energy.TraceFromCSV), so a file written here
-// is directly usable as a GridSpec trace axis value — pass -spec to
-// print the ready-to-paste JSON — or registerable as a named trace via
-// ehinfer.RegisterTrace(name, ehinfer.TraceFromCSV(path)).
+// can be registered as a named trace with
+// ehinfer.RegisterTrace(name, ehinfer.TraceFromCSV(path)) and named in a
+// grid as {"name": name, "kind": "registered"}, or passed to ehsim -trace.
 //
 // Usage:
 //
-//	tracegen -kind solar|kinetic [-hours H] [-peak mW] [-seed N] [-out trace.csv] [-spec]
+//	tracegen -kind solar|kinetic [-hours H] [-peak mW] [-seed N] [-out trace.csv]
 //	tracegen -events N [-hours H] [-seed N] [-out events.csv]
 //	tracegen -inspect trace.csv
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/energy"
-	"repro/internal/exper"
 )
 
 func main() {
@@ -33,7 +31,6 @@ func main() {
 		out     = flag.String("out", "", "output CSV path (default stdout)")
 		events  = flag.Int("events", 0, "generate an event schedule of N events instead of a trace")
 		inspect = flag.String("inspect", "", "print statistics for an existing trace CSV")
-		spec    = flag.Bool("spec", false, "after writing -out, print the GridSpec trace-axis JSON for the file")
 	)
 	flag.Parse()
 
@@ -83,19 +80,6 @@ func main() {
 	}
 	if err := energy.WriteTraceCSV(w, tr); err != nil {
 		fatal(err)
-	}
-	if *spec && *out != "" {
-		// Round-trip through the engine's own loader first: a file that
-		// prints a spec must actually load as one.
-		if _, err := energy.TraceFromCSV(*out)(0); err != nil {
-			fatal(fmt.Errorf("generated trace does not load back: %w", err))
-		}
-		axis := exper.TraceSpec{Name: *kind + "-csv", Kind: exper.TraceCSV, Path: *out}
-		data, err := json.Marshal([]exper.TraceSpec{axis})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "grid spec axis: \"traces\": %s\n", data)
 	}
 }
 

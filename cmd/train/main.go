@@ -1,7 +1,7 @@
 // Command train trains the multi-exit LeNet-EE on SynthCIFAR (or real
 // CIFAR-10 binary batches if present), optionally applies a compression
-// policy from JSON, reports per-exit accuracy before and after, and saves
-// the weights — or a complete deployment artifact.
+// policy from JSON, reports per-exit accuracy before and after, and can
+// save the result as a deployment artifact.
 //
 // With -save-deployed the trained (and compressed) network is packaged
 // as a versioned deployment bundle: architecture, weights, measured
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	train [-epochs N] [-train N] [-test N] [-augment N] [-seed N]
-//	      [-cifar dir] [-policy policy.json] [-out model.gob]
+//	      [-cifar dir] [-policy policy.json]
 //	      [-save-deployed model.ehar] [-backend plan|legacy|int8fast]
 //	      [-name label]
 package main
@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/multiexit"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -42,7 +41,6 @@ func main() {
 		seed     = flag.Uint64("seed", 31, "random seed")
 		cifarDir = flag.String("cifar", "", "directory with CIFAR-10 binary batches (overrides SynthCIFAR)")
 		policyF  = flag.String("policy", "", "compression policy JSON to apply after training")
-		out      = flag.String("out", "", "output model file (gob, weights only)")
 		deployF  = flag.String("save-deployed", "", "output deployment-artifact file (architecture + weights + accuracies + policy + calibration)")
 		backendF = flag.String("backend", "", "default inference backend recorded in the artifact (plan, legacy, int8fast; int8 is an alias of int8fast)")
 		nameF    = flag.String("name", "", "artifact label (default: derived from the policy file)")
@@ -97,13 +95,6 @@ func main() {
 		fmt.Printf("after %s: exits %.1f%% / %.1f%% / %.1f%%; F=%.4f MFLOPs, S=%.1f KB\n",
 			*policyF, 100*accs[0], 100*accs[1], 100*accs[2],
 			float64(m.ModelFLOPs)/1e6, float64(m.WeightBytes)/1024)
-	}
-
-	if *out != "" {
-		if err := nn.SaveParamsFile(*out, net.Params()); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved weights to %s\n", *out)
 	}
 
 	if *deployF != "" {

@@ -71,9 +71,9 @@
 //     metrics registry (counters, gauges, histograms) served as
 //     Prometheus text exposition on GET /metrics — per-route request
 //     counts and latencies, per-model queue depth, batch-size and
-//     latency histograms, exit-taken counters — with GET /v1/stats kept
-//     as a deprecated JSON view over the same registry (monotonic
-//     across artifact deletes), /healthz and /readyz health probes
+//     latency histograms, exit-taken counters, monotonic across
+//     artifact deletes and updated before an answer is released —
+//     /healthz and /readyz health probes
 //     (readiness flips during graceful drain), and net/http/pprof
 //     behind the -pprof flag;
 //
@@ -92,8 +92,8 @@
 //     bit-identical to the single-image plan; Session.Infer and
 //     Session.InferBatch expose the same path in-process, returning the
 //     predicted class, exit taken, and per-exit confidence profile, and
-//     GET /v1/stats reports queue depth, the batch-size histogram,
-//     latency percentiles, and throughput;
+//     GET /metrics reports served and shed counts, queue depth, and the
+//     batch-size and latency histograms per model;
 //
 //   - versioned deployment artifacts (internal/artifact): a
 //     self-describing bundle — magic, format version, JSON manifest,
@@ -143,16 +143,14 @@
 // Deployed models), and the progress callback. Every long-running method
 // takes a context.Context; cancellation is cooperative — checked between
 // grid points and training episodes — returns ctx.Err(), and preserves
-// completed work bit-for-bit. cmd/sweep, cmd/paperbench, cmd/ehsim, and
-// cmd/ehserved all run on Sessions; the pre-Session free functions
-// remain as thin deprecated wrappers so old callers migrate
-// incrementally (see README for the migration table).
+// completed work bit-for-bit. The commands, the examples and ehserved
+// all run on Sessions.
 //
 // The bench suite in bench_test.go regenerates every figure of the
 // paper's evaluation; see EXPERIMENTS.md for paper-vs-measured values
-// and DESIGN.md for the system inventory and the documented
-// substitutions (synthetic dataset, synthetic solar trace, calibrated
-// accuracy surrogate).
+// and DESIGN.md for the documented substitutions (calibrated accuracy
+// surrogate, synthetic dataset, synthetic solar and kinetic traces, the
+// per-MFLOP energy model).
 //
 // # Quickstart
 //

@@ -1,11 +1,13 @@
 // Infer-load: a load generator for the online inference path. It boots
 // the ehserved HTTP surface in-process, uploads a compressed deployment
 // artifact, fires a swarm of concurrent clients at POST /v1/infer, and
-// prints the /v1/stats view the operator would watch in production —
-// micro-batch histogram, latency percentiles, throughput, and shed load.
+// prints the ehserved_infer_* series of GET /metrics that the operator
+// would scrape in production — served and shed counts, the micro-batch
+// size histogram, the latency histogram and the queue depth.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -13,6 +15,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,27 +130,20 @@ func main() {
 	fmt.Printf("served %d, shed %d of %d requests in %v\n",
 		served.Load(), shed.Load(), clients*perClient, time.Since(start).Round(time.Millisecond))
 
-	// 4. The operator's view: per-model queue stats.
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	// 4. The operator's view: the inference series of the Prometheus
+	//    exposition, labelled by model.
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Infer map[string]struct {
-			Backend string      `json:"backend"`
-			Queue   batch.Stats `json:"queue"`
-		} `json:"infer"`
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, "ehserved_infer_") {
+			fmt.Println(line)
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := sc.Err(); err != nil {
 		log.Fatal(err)
-	}
-	for key, m := range stats.Infer {
-		q := m.Queue
-		fmt.Printf("%s (%s): %d served over %d batches (mean %.2f img/batch)\n",
-			key, m.Backend, q.Served, q.Batches, q.MeanBatch)
-		fmt.Printf("  batch histogram: %v\n", q.BatchSizes)
-		fmt.Printf("  latency p50/p90/p99: %.2f / %.2f / %.2f ms, throughput %.1f req/s\n",
-			q.LatencyMS.P50, q.LatencyMS.P90, q.LatencyMS.P99, q.ThroughputPerSec)
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -14,6 +15,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	session := ehinfer.NewSession()
 	scenario := ehinfer.DefaultScenario(3)
 	net := ehinfer.LeNetEE(ehinfer.NewRNG(3))
 	surrogate, err := ehinfer.NewSurrogate(net, nil)
@@ -23,7 +26,7 @@ func main() {
 
 	fmt.Println("running DDPG compression search (F ≤ 1.15 MFLOPs, S ≤ 16 KB)...")
 	start := time.Now()
-	result, err := ehinfer.SearchCompression(net, surrogate, ehinfer.SearchConfig{
+	result, err := session.SearchCompression(ctx, net, surrogate, ehinfer.SearchConfig{
 		Episodes: 120,
 		Trace:    scenario.Trace,
 		Schedule: scenario.Schedule,
@@ -46,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := ehinfer.CompareSystems(scenario, searched, ehinfer.CompareConfig{})
+	rows, err := session.CompareSystems(ctx, scenario, searched, ehinfer.CompareConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refRows, err := ehinfer.CompareSystems(scenario, reference, ehinfer.CompareConfig{})
+	refRows, err := session.CompareSystems(ctx, scenario, reference, ehinfer.CompareConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,18 +76,18 @@ func main() {
 	}
 	for _, alg := range []struct {
 		name string
-		fn   func(*ehinfer.Network, *ehinfer.Surrogate, ehinfer.SearchConfig) (*ehinfer.SearchResult, error)
+		fn   func(context.Context, *ehinfer.Network, *ehinfer.Surrogate, ehinfer.SearchConfig) (*ehinfer.SearchResult, error)
 	}{
-		{"DDPG (paper)", ehinfer.SearchCompression},
-		{"random", ehinfer.SearchCompressionRandom},
-		{"annealing", ehinfer.SearchCompressionAnnealing},
+		{"DDPG (paper)", session.SearchCompression},
+		{"random", session.SearchCompressionRandom},
+		{"annealing", session.SearchCompressionAnnealing},
 	} {
 		n := ehinfer.LeNetEE(ehinfer.NewRNG(3))
 		s, err := ehinfer.NewSurrogate(n, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := alg.fn(n, s, cfg)
+		res, err := alg.fn(ctx, n, s, cfg)
 		if res == nil || res.Policy == nil {
 			fmt.Printf("  %-14s found no feasible policy in 60 evaluations (err=%v)\n", alg.name, err)
 			continue

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 
 	// 3. Run the Q-learning runtime (with a few warm-up episodes) and
 	//    the three baselines on the identical trace.
-	rows, err := ehinfer.CompareSystems(scenario, deployed, ehinfer.CompareConfig{})
+	rows, err := ehinfer.NewSession().CompareSystems(context.Background(), scenario, deployed, ehinfer.CompareConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,8 @@ func main() {
 	grid := ehinfer.SeedReplicationGrid(16, 300)
 	fmt.Printf("seed replication: %d replicates × 4 systems\n\n", grid.Size())
 
-	res, err := ehinfer.NewExperimentEngine(0).Run(grid)
+	ctx := context.Background()
+	res, err := ehinfer.NewSession().RunGrid(ctx, grid)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func main() {
 
 	// Determinism check: a serial rerun must reproduce the parallel run
 	// byte for byte.
-	serial, err := ehinfer.NewExperimentEngine(1).Run(grid)
+	serial, err := ehinfer.NewSession(ehinfer.WithWorkers(1)).RunGrid(ctx, grid)
 	if err != nil {
 		log.Fatal(err)
 	}

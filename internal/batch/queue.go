@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,9 +32,8 @@ type Config struct {
 	QueueCap int
 	// Metrics routes the queue's counters into a shared obs registry
 	// (one instrument set per served model). Nil gets private,
-	// unregistered instruments — Stats still works, nothing is exposed.
-	// The queue's counters ARE these instruments: the JSON Stats view
-	// and a Prometheus exposition of the same registry cannot disagree.
+	// unregistered instruments: the queue still counts, nothing is
+	// exposed.
 	Metrics *Metrics
 }
 
@@ -44,12 +42,15 @@ type Config struct {
 // queue down and later rebuilds one for the same model, passing the same
 // Metrics continues the series instead of resetting it.
 type Metrics struct {
-	// Served/Rejected/Canceled/Errored/Batches mirror the Stats fields
-	// of the same names.
+	// Served counts answered requests; Rejected counts ErrQueueFull
+	// refusals; Canceled counts requests whose context ended before
+	// dispatch; Errored counts requests whose execution failed
+	// (recovered panic), which are not part of Served; Batches counts
+	// non-empty dispatches.
 	Served, Rejected, Canceled, Errored, Batches *obs.Counter
 	// BatchSize takes one observation per non-empty dispatch. For exact
-	// per-size counts (Stats.BatchSizes), build it with unit-width
-	// integer buckets: obs.LinearBuckets(1, 1, MaxBatch).
+	// per-size counts, build it with unit-width integer buckets:
+	// obs.LinearBuckets(1, 1, MaxBatch).
 	BatchSize *obs.Histogram
 	// Latency takes one observation per served request
 	// (admission→answer), in seconds.
@@ -102,10 +103,6 @@ var (
 	ErrBadInput = errors.New("batch: bad input")
 )
 
-// latencyRing is how many recent request latencies the percentile
-// estimator keeps.
-const latencyRing = 1024
-
 // Queue accumulates inference requests into micro-batches: a dispatch
 // fires as soon as MaxBatch requests are waiting, or Window after the
 // first request of an under-full batch arrived. One worker goroutine
@@ -115,7 +112,8 @@ const latencyRing = 1024
 //
 // A served or failed request is counted (depth, then served with its
 // batch and latency, or errored) before its answer is released, so a
-// Stats() or /metrics read made after receiving an answer includes it.
+// read of its Metrics (or of /metrics) made after receiving an answer
+// includes it.
 // A canceled request is counted when the dispatcher reaches it, which
 // may be after its submitter has already returned with ctx.Err().
 type Queue struct {
@@ -129,21 +127,16 @@ type Queue struct {
 	stateMu sync.RWMutex
 	closed  bool
 
-	// m holds the monotonic instruments (counters, size/latency
-	// histograms, depth gauge); the fields below are the queue-local
-	// remainder: the latency ring for percentile estimation and the
-	// depth high-water mark.
-	m        *Metrics
-	statMu   sync.Mutex
-	started  time.Time
-	lats     []time.Duration
-	latNext  int
-	depth    int64 // requests accepted but not yet answered
-	maxDepth int64
+	// m holds the instruments (counters, size/latency histograms,
+	// depth gauge). depthMu orders the depth updates so the gauge
+	// always shows the latest count.
+	m       *Metrics
+	depthMu sync.Mutex
+	depth   int64 // requests accepted but not yet answered
 
 	// Dispatch scratch, sized to MaxBatch once at construction. Only
-	// the worker goroutine touches these, and noteBatch copies latsBuf
-	// into the ring before the next dispatch reuses it, so per-batch
+	// the worker goroutine touches these, and noteBatch has read
+	// latsBuf before the next dispatch reuses it, so per-batch
 	// reslicing is safe and the dispatch path stays allocation-free.
 	reqsBuf []Req
 	latsBuf []time.Duration
@@ -177,8 +170,6 @@ func NewQueue(inf Inferer, cfg Config) *Queue {
 		ch:      make(chan *pending, cfg.QueueCap),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		started: time.Now(),
-		lats:    make([]time.Duration, 0, latencyRing),
 		reqsBuf: make([]Req, 0, cfg.MaxBatch),
 		latsBuf: make([]time.Duration, 0, cfg.MaxBatch),
 	}
@@ -208,10 +199,10 @@ func (q *Queue) Enqueue(ctx context.Context, r Req) (*Ticket, error) {
 	}
 	select {
 	case q.ch <- p:
-		q.noteEnqueued()
+		q.addDepth(1)
 		return &Ticket{p: p}, nil
 	default:
-		q.noteRejected()
+		q.m.Rejected.Inc()
 		return nil, ErrQueueFull
 	}
 }
@@ -344,8 +335,8 @@ func (q *Queue) drain(batch []*pending) {
 // dispatch executes one gathered batch: canceled requests are skipped
 // (their submitters already returned), live ones run through the
 // Inferer and receive their prediction. Live requests are counted
-// before any of their answers is sent, so a submitter that reads Stats
-// after its answer sees itself counted.
+// before any of their answers is sent, so a submitter that reads the
+// queue's Metrics after its answer sees itself counted.
 //
 //ehlint:hotpath
 func (q *Queue) dispatch(batch []*pending) {
@@ -401,121 +392,16 @@ func (q *Queue) runBatch(reqs []Req) (preds []Prediction, err error) {
 	return q.inf.InferBatch(reqs), nil
 }
 
-// Stats is a queue's observability snapshot (GET /v1/stats). A served
-// or failed request is already counted here by the time its submitter
-// receives the answer.
-type Stats struct {
-	// QueueDepth is the number of requests admitted but not yet
-	// answered (including any batch currently executing).
-	QueueDepth int `json:"queueDepth"`
-	// MaxDepth is the high-water mark of QueueDepth.
-	MaxDepth int `json:"maxDepth"`
-	// Served counts answered requests; Rejected counts ErrQueueFull
-	// refusals; Canceled counts requests whose context ended before
-	// dispatch; Errored counts requests whose execution failed
-	// (recovered panic) — they are not part of Served.
-	Served   int64 `json:"served"`
-	Rejected int64 `json:"rejected"`
-	Canceled int64 `json:"canceled"`
-	Errored  int64 `json:"errored,omitempty"`
-	// Batches counts dispatches; BatchSizes[i] counts dispatches that
-	// carried i+1 requests — the micro-batching histogram.
-	Batches    int64   `json:"batches"`
-	BatchSizes []int64 `json:"batchSizes"`
-	// MeanBatch is Served/Batches.
-	MeanBatch float64 `json:"meanBatch"`
-	// LatencyMS are percentiles over the most recent request latencies
-	// (admission to answer), in milliseconds.
-	LatencyMS LatencyStats `json:"latencyMs"`
-	// ThroughputPerSec is Served divided by the queue's uptime.
-	ThroughputPerSec float64 `json:"throughputPerSec"`
-}
-
-// LatencyStats are latency percentiles in milliseconds.
-type LatencyStats struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-}
-
-// Stats snapshots the queue's counters — a JSON-shaped view over the
-// same obs instruments a /metrics exposition reads, so the two views
-// agree by construction.
-func (q *Queue) Stats() Stats {
-	q.statMu.Lock()
-	defer q.statMu.Unlock()
-	served, batches := q.m.Served.Value(), q.m.Batches.Value()
-	bc := q.m.BatchSize.BucketCounts()
-	sizes := make([]int64, len(bc)-1) // drop the +Inf overflow bucket
-	for i := range sizes {
-		sizes[i] = int64(bc[i])
-	}
-	st := Stats{
-		QueueDepth: int(q.depth),
-		MaxDepth:   int(q.maxDepth),
-		Served:     served,
-		Rejected:   q.m.Rejected.Value(),
-		Canceled:   q.m.Canceled.Value(),
-		Errored:    q.m.Errored.Value(),
-		Batches:    batches,
-		BatchSizes: sizes,
-	}
-	if batches > 0 {
-		st.MeanBatch = float64(served) / float64(batches)
-	}
-	if up := time.Since(q.started).Seconds(); up > 0 {
-		st.ThroughputPerSec = float64(served) / up
-	}
-	if len(q.lats) > 0 {
-		s := append([]time.Duration(nil), q.lats...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		pct := func(p float64) float64 {
-			i := int(p * float64(len(s)-1))
-			return float64(s[i]) / float64(time.Millisecond)
-		}
-		st.LatencyMS = LatencyStats{P50: pct(0.50), P90: pct(0.90), P99: pct(0.99)}
-	}
-	return st
-}
-
-func (q *Queue) noteEnqueued() {
-	q.statMu.Lock()
-	q.depth++
-	if q.depth > q.maxDepth {
-		q.maxDepth = q.depth
-	}
-	q.m.Depth.Set(float64(q.depth))
-	q.statMu.Unlock()
-}
-
-func (q *Queue) noteRejected() {
-	q.m.Rejected.Inc()
-}
-
 // noteFailed retires a batch whose execution errored: the requests
 // leave the depth accounting but are counted as errored, not served.
 func (q *Queue) noteFailed(size int, ncanceled int64) {
-	q.statMu.Lock()
-	q.depth -= int64(size) + ncanceled
-	q.m.Depth.Set(float64(q.depth))
-	q.statMu.Unlock()
+	q.addDepth(-(int64(size) + ncanceled))
 	q.m.Canceled.Add(ncanceled)
 	q.m.Errored.Add(int64(size))
 }
 
 func (q *Queue) noteBatch(size int, ncanceled int64, lats []time.Duration) {
-	q.statMu.Lock()
-	q.depth -= int64(size) + ncanceled
-	q.m.Depth.Set(float64(q.depth))
-	for _, l := range lats {
-		if len(q.lats) < latencyRing {
-			q.lats = append(q.lats, l)
-		} else {
-			q.lats[q.latNext] = l
-			q.latNext = (q.latNext + 1) % latencyRing
-		}
-	}
-	q.statMu.Unlock()
+	q.addDepth(-(int64(size) + ncanceled))
 	q.m.Canceled.Add(ncanceled)
 	if size == 0 {
 		return
@@ -526,4 +412,13 @@ func (q *Queue) noteBatch(size int, ncanceled int64, lats []time.Duration) {
 	for _, l := range lats {
 		q.m.Latency.Observe(l.Seconds())
 	}
+}
+
+// addDepth moves the admitted-but-unanswered count by d and publishes
+// it on the depth gauge.
+func (q *Queue) addDepth(d int64) {
+	q.depthMu.Lock()
+	q.depth += d
+	q.m.Depth.Set(float64(q.depth))
+	q.depthMu.Unlock()
 }

@@ -47,7 +47,8 @@ func req(tag int) Req { return Req{Input: []float32{float32(tag)}} }
 // once with its own prediction — the cross-model race test (-race).
 func TestQueueEchoesEveryRequest(t *testing.T) {
 	const submitters, perSubmitter = 8, 25
-	qa := NewQueue(&stubInferer{}, Config{MaxBatch: 4, Window: 500 * time.Microsecond, QueueCap: 1024})
+	stubA := &stubInferer{}
+	qa := NewQueue(stubA, Config{MaxBatch: 4, Window: 500 * time.Microsecond, QueueCap: 1024})
 	qb := NewQueue(&stubInferer{}, Config{MaxBatch: 7, Window: 500 * time.Microsecond, QueueCap: 1024})
 	defer qa.Close(context.Background())
 	defer qb.Close(context.Background())
@@ -81,24 +82,22 @@ func TestQueueEchoesEveryRequest(t *testing.T) {
 		t.Error(err)
 	}
 
-	sa, sb := qa.Stats(), qb.Stats()
-	if sa.Served+sb.Served != submitters*perSubmitter {
-		t.Fatalf("served %d+%d, want %d", sa.Served, sb.Served, submitters*perSubmitter)
+	served := qa.m.Served.Value() + qb.m.Served.Value()
+	if served != submitters*perSubmitter {
+		t.Fatalf("served %d, want %d", served, submitters*perSubmitter)
 	}
-	if sa.Rejected != 0 || sb.Rejected != 0 {
-		t.Fatalf("unexpected rejections %d/%d", sa.Rejected, sb.Rejected)
+	if ra, rb := qa.m.Rejected.Value(), qb.m.Rejected.Value(); ra != 0 || rb != 0 {
+		t.Fatalf("unexpected rejections %d/%d", ra, rb)
 	}
-	// The histogram must account for every dispatch, and no batch may
-	// exceed its queue's bound.
-	var hist int64
-	for i, c := range sa.BatchSizes {
-		if i+1 > 4 && c > 0 {
-			t.Fatalf("queue A dispatched a batch of %d (bound 4)", i+1)
+	// The size histogram must account for every dispatch, and no batch
+	// may exceed its queue's bound.
+	if n, batches := qa.m.BatchSize.Count(), qa.m.Batches.Value(); int64(n) != batches {
+		t.Fatalf("size histogram holds %d dispatches, batches %d", n, batches)
+	}
+	for _, b := range stubA.batches {
+		if len(b) > 4 {
+			t.Fatalf("queue A dispatched a batch of %d (bound 4)", len(b))
 		}
-		hist += c
-	}
-	if hist != sa.Batches {
-		t.Fatalf("histogram sums to %d, batches %d", hist, sa.Batches)
 	}
 }
 
@@ -122,18 +121,15 @@ func TestQueueBatchesUnderLoad(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := q.Stats()
-	if st.Served != n {
-		t.Fatalf("served %d, want %d", st.Served, n)
+	served, batches := q.m.Served.Value(), q.m.Batches.Value()
+	if served != n {
+		t.Fatalf("served %d, want %d", served, n)
 	}
-	if st.MeanBatch <= 1.2 {
-		t.Errorf("mean batch %.2f: the window did not coalesce concurrent requests", st.MeanBatch)
+	if mean := float64(served) / float64(batches); mean <= 1.2 {
+		t.Errorf("mean batch %.2f: the window did not coalesce concurrent requests", mean)
 	}
-	if st.LatencyMS.P50 <= 0 || st.LatencyMS.P99 < st.LatencyMS.P50 {
-		t.Errorf("implausible latency percentiles %+v", st.LatencyMS)
-	}
-	if st.ThroughputPerSec <= 0 {
-		t.Errorf("throughput %v", st.ThroughputPerSec)
+	if got := q.m.Latency.Count(); got != n || q.m.Latency.Sum() <= 0 {
+		t.Errorf("latency histogram holds %d observations summing to %gs, want %d > 0", got, q.m.Latency.Sum(), n)
 	}
 }
 
@@ -176,10 +172,9 @@ func TestQueueBackpressure(t *testing.T) {
 	if answered.Load() != accepted.Load() {
 		t.Fatalf("%d accepted but %d answered", accepted.Load(), answered.Load())
 	}
-	st := q.Stats()
-	if st.Rejected != rejected.Load() || st.Served != answered.Load() {
-		t.Fatalf("stats (served %d, rejected %d) vs observed (%d, %d)",
-			st.Served, st.Rejected, answered.Load(), rejected.Load())
+	if q.m.Rejected.Value() != rejected.Load() || q.m.Served.Value() != answered.Load() {
+		t.Fatalf("metrics (served %d, rejected %d) vs observed (%d, %d)",
+			q.m.Served.Value(), q.m.Rejected.Value(), answered.Load(), rejected.Load())
 	}
 }
 
@@ -222,12 +217,12 @@ func TestQueueCancellationMidWindow(t *testing.T) {
 	// accounting: 1 served, 5 canceled, depth back to zero.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st := q.Stats()
-		if st.Canceled == 5 && st.Served == 1 && st.QueueDepth == 0 {
+		canceled, served, depth := q.m.Canceled.Value(), q.m.Served.Value(), q.m.Depth.Value()
+		if canceled == 5 && served == 1 && depth == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stats never settled: %+v", st)
+			t.Fatalf("metrics never settled: canceled %d, served %d, depth %g", canceled, served, depth)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -367,9 +362,8 @@ func TestQueueSurvivesInfererPanic(t *testing.T) {
 	if err != nil || pred.Class != 7 {
 		t.Fatalf("queue did not survive the panic: %v / %+v", err, pred)
 	}
-	st := q.Stats()
-	if st.Errored != 1 || st.Served != 1 || st.QueueDepth != 0 {
-		t.Fatalf("panicked batch accounting: %+v", st)
+	if errored, served, depth := q.m.Errored.Value(), q.m.Served.Value(), q.m.Depth.Value(); errored != 1 || served != 1 || depth != 0 {
+		t.Fatalf("panicked batch accounting: errored %d, served %d, depth %g", errored, served, depth)
 	}
 }
 

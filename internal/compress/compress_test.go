@@ -127,22 +127,36 @@ func TestQuantizeWeightsLevels(t *testing.T) {
 	}
 }
 
+// TestQuantizeErrorDecreasesWithBits bounds the relative L2 error
+// ‖w'−w‖/‖w‖ of quantizing at the scale OptimalWeightScale picks: it
+// never grows with the bitwidth and is small at 8 bits.
 func TestQuantizeErrorDecreasesWithBits(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	w := make([]float32, 500)
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())
 	}
+	relErr := func(bits int) float64 {
+		q := append([]float32(nil), w...)
+		QuantizeWeights(q, bits)
+		var diff, norm float64
+		for i, v := range w {
+			d := float64(q[i]) - float64(v)
+			diff += d * d
+			norm += float64(v) * float64(v)
+		}
+		return math.Sqrt(diff / norm)
+	}
 	prev := 2.0
 	for bits := 1; bits <= 8; bits++ {
-		e := QuantizationError(w, bits)
+		e := relErr(bits)
 		if e > prev+1e-9 {
 			t.Fatalf("quantization error increased at %d bits: %g > %g", bits, e, prev)
 		}
 		prev = e
 	}
-	if QuantizationError(w, 8) > 0.02 {
-		t.Fatalf("8-bit error too large: %g", QuantizationError(w, 8))
+	if e := relErr(8); e > 0.02 {
+		t.Fatalf("8-bit error too large: %g", e)
 	}
 }
 

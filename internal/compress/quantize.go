@@ -89,26 +89,3 @@ func quantError(w []float32, s, lb, ub float64) float64 {
 	}
 	return e
 }
-
-// QuantizationError returns the relative L2 error ‖w'−w‖/‖w‖ that k-bit
-// quantization would introduce, without modifying w. Used by tests and
-// the accuracy surrogate's validation.
-func QuantizationError(w []float32, bits int) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	s := OptimalWeightScale(w, bits)
-	var norm float64
-	for _, v := range w {
-		norm += float64(v) * float64(v)
-	}
-	if norm == 0 {
-		return 0
-	}
-	if s == 0 {
-		return 0
-	}
-	lb := -math.Exp2(float64(bits - 1))
-	ub := math.Exp2(float64(bits-1)) - 1
-	return math.Sqrt(quantError(w, s, lb, ub) / norm)
-}

@@ -105,19 +105,6 @@ func LoadTraceCSV(path string) (*Trace, error) {
 	return ReadTraceCSV(f)
 }
 
-// SaveTraceCSV writes a trace file to disk.
-func SaveTraceCSV(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTraceCSV(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // WriteScheduleCSV writes events as "t,class" rows.
 func WriteScheduleCSV(w io.Writer, s *Schedule) error {
 	cw := csv.NewWriter(w)
@@ -131,35 +118,4 @@ func WriteScheduleCSV(w io.Writer, s *Schedule) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadScheduleCSV parses events written by WriteScheduleCSV.
-func ReadScheduleCSV(r io.Reader) (*Schedule, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	s := &Schedule{}
-	row := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("energy: parse schedule CSV: %w", err)
-		}
-		row++
-		if len(rec) < 2 {
-			continue
-		}
-		t, err1 := strconv.Atoi(rec[0])
-		c, err2 := strconv.Atoi(rec[1])
-		if err1 != nil || err2 != nil {
-			if row == 1 {
-				continue // header
-			}
-			return nil, fmt.Errorf("energy: schedule CSV row %d malformed", row)
-		}
-		s.Events = append(s.Events, Event{T: t, Class: c, SampleIndex: -1})
-	}
-	return s, nil
 }

@@ -57,50 +57,3 @@ func (s TraceStats) String() string {
 	return fmt.Sprintf("%ds mean=%.1fµW p50=%.1fµW p95=%.1fµW peak=%.1fµW total=%.1fmJ idle=%.0f%%",
 		s.Seconds, 1000*s.MeanMW, 1000*s.P50MW, 1000*s.P95MW, 1000*s.PeakMW, s.TotalMJ, 100*s.ZeroFrac)
 }
-
-// Scaled returns a copy of the trace with every power value multiplied
-// by factor — the knob for exploring stronger/weaker harvesting regimes
-// with the same temporal structure.
-func (t *Trace) Scaled(factor float64) *Trace {
-	if factor < 0 {
-		panic(fmt.Sprintf("energy: negative scale factor %g", factor))
-	}
-	out := &Trace{Power: make([]float64, len(t.Power))}
-	for i, p := range t.Power {
-		out.Power[i] = p * factor
-	}
-	return out
-}
-
-// Resampled returns the trace resampled to a new duration by linear
-// interpolation, preserving the power envelope's shape.
-func (t *Trace) Resampled(seconds int) *Trace {
-	if seconds <= 0 {
-		panic(fmt.Sprintf("energy: invalid resample duration %d", seconds))
-	}
-	if t.Duration() == 0 {
-		return ConstantTrace(seconds, 0)
-	}
-	out := &Trace{Power: make([]float64, seconds)}
-	for i := 0; i < seconds; i++ {
-		pos := float64(i) / float64(seconds) * float64(t.Duration()-1)
-		lo := int(math.Floor(pos))
-		hi := lo + 1
-		if hi >= t.Duration() {
-			out.Power[i] = t.Power[t.Duration()-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out.Power[i] = t.Power[lo]*(1-frac) + t.Power[hi]*frac
-	}
-	return out
-}
-
-// Concat joins traces end to end (multi-day simulations).
-func Concat(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, t := range traces {
-		out.Power = append(out.Power, t.Power...)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -35,59 +34,5 @@ func TestKineticZeroFrac(t *testing.T) {
 	s := tr.Stats()
 	if s.ZeroFrac <= 0 || s.ZeroFrac >= 1 {
 		t.Fatalf("kinetic idle fraction %v implausible", s.ZeroFrac)
-	}
-}
-
-func TestScaled(t *testing.T) {
-	tr := ConstantTrace(10, 2)
-	half := tr.Scaled(0.5)
-	if half.TotalEnergy() != 10 {
-		t.Fatalf("scaled total %v", half.TotalEnergy())
-	}
-	if tr.TotalEnergy() != 20 {
-		t.Fatal("Scaled must not mutate the original")
-	}
-}
-
-func TestScaledNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ConstantTrace(1, 1).Scaled(-1)
-}
-
-func TestResampledPreservesShape(t *testing.T) {
-	tr := &Trace{Power: []float64{0, 1, 0}}
-	up := tr.Resampled(5)
-	if up.Duration() != 5 {
-		t.Fatalf("duration %d", up.Duration())
-	}
-	// Peak stays in the middle.
-	max, arg := 0.0, 0
-	for i, p := range up.Power {
-		if p > max {
-			max, arg = p, i
-		}
-	}
-	if arg != 2 || max < 0.8 {
-		t.Fatalf("resampled peak at %d value %v (expect mid-trace, near the original peak)", arg, max)
-	}
-	// Mean power approximately preserved.
-	if math.Abs(up.MeanPower()-tr.MeanPower()) > 0.2 {
-		t.Fatalf("mean drifted: %v vs %v", up.MeanPower(), tr.MeanPower())
-	}
-}
-
-func TestConcat(t *testing.T) {
-	day := ConstantTrace(10, 1)
-	night := ConstantTrace(10, 0)
-	twoDays := Concat(day, night, day)
-	if twoDays.Duration() != 30 {
-		t.Fatalf("duration %d", twoDays.Duration())
-	}
-	if twoDays.TotalEnergy() != 20 {
-		t.Fatalf("total %v", twoDays.TotalEnergy())
 	}
 }

@@ -37,11 +37,11 @@
 // # Usage
 //
 //	grid := exper.PaperSweepGrid([]float64{0.02, 0.032}, []float64{3, 6}, 3, 500)
-//	res, err := exper.NewEngine(0).Run(grid) // 0 ⇒ GOMAXPROCS workers
+//	res, err := exper.NewEngine(0).RunContext(ctx, grid) // 0 ⇒ GOMAXPROCS workers
 //	fmt.Print(res.AggTable())
 //
-// RunContext adds cooperative cancellation (checked between points and,
-// via internal/core, between training episodes) with partial results
+// RunContext cancels cooperatively (checked between points and, via
+// internal/core, between training episodes) with partial results
 // preserved; Engine.Cache (a DeployCache) memoizes per-policy
 // deployments across runs; GridSpec is the fully-declarative JSON twin
 // of Grid used by the HTTP serving layer. The public entry point for all

@@ -79,15 +79,6 @@ func (e *Engine) WorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes every point of the grid with no cancellation deadline; it
-// is RunContext with a background context.
-//
-// Deprecated: use RunContext so callers can cancel long sweeps; Run
-// exists for pre-context call sites and mints an uncancellable root.
-func (e *Engine) Run(g *Grid) (*GridResult, error) {
-	return e.RunContext(context.Background(), g)
-}
-
 // RunContext executes every point of the grid and returns the collected
 // results in enumeration order. Each point derives its runtime RNG from
 // (BaseSeed, Index, Seed), runs on its replicate's read-only trace and

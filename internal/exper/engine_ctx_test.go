@@ -58,7 +58,7 @@ func TestRunContextCancelPreservesPartialResults(t *testing.T) {
 	t.Logf("completed=%d aborted=%d skipped=%d", completed, aborted, skipped)
 
 	// Completed points must be bit-identical to an uncancelled run.
-	full, err := NewEngine(1).Run(grid)
+	full, err := NewEngine(1).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGridResultRecordsWorkers(t *testing.T) {
 	grid.Baselines = false
 	grid.Seeds = []uint64{1}
 	grid.Storages = grid.Storages[:1] // 2 points
-	res, err := NewEngine(8).Run(grid)
+	res, err := NewEngine(8).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestDeployCacheReusesDeployments(t *testing.T) {
 
 	e := NewEngine(2)
 	e.Cache = cache
-	r1, err := e.Run(grid)
+	r1, err := e.RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("one policy × one deploy seed must cache 1 deployment, got %d", cache.Len())
 	}
-	r2, err := e.Run(grid)
+	r2, err := e.RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDeployCacheReusesDeployments(t *testing.T) {
 
 	// And against a cache-less engine: the cache is an optimization, not
 	// a semantic.
-	r3, err := NewEngine(2).Run(grid)
+	r3, err := NewEngine(2).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 )
 
 // testGrid is a small but non-trivial grid: 2 traces × 2 storages ×
@@ -37,11 +38,11 @@ func testGrid() *Grid {
 func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	grid := testGrid()
 
-	r1, err := NewEngine(1).Run(grid)
+	r1, err := NewEngine(1).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := NewEngine(8).Run(grid)
+	r8, err := NewEngine(8).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +113,21 @@ func TestDeriveSeedStability(t *testing.T) {
 
 func TestEngineRecordsPointErrors(t *testing.T) {
 	grid := testGrid()
-	// An unknown trace kind is now rejected by Validate up front; a CSV
-	// trace whose file is missing passes validation (the path is only
-	// opened per point) and exercises the point-level error path.
-	grid.Traces = []TraceSpec{
-		{Name: "bogus", Kind: TraceCSV, Path: "/does/not/exist.csv"},
-		SolarTrace(1800, 0.04),
+	// An unknown trace kind is rejected by Validate up front; a
+	// registered file-backed trace whose file is missing passes
+	// validation (the file is only opened per point) and exercises the
+	// point-level error path.
+	const missing = "exper-test-missing-file"
+	if _, err := LookupTrace(missing); err != nil {
+		if err := RegisterTrace(missing, energy.TraceFromCSV("/does/not/exist.csv")); err != nil {
+			t.Fatal(err)
+		}
 	}
+	grid.Traces = []TraceSpec{RegisteredTrace(missing), SolarTrace(1800, 0.04)}
 	grid.Baselines = false
 	grid.Seeds = []uint64{1}
 	grid.Storages = grid.Storages[:1]
-	res, err := NewEngine(4).Run(grid)
+	res, err := NewEngine(4).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +146,7 @@ func TestEngineRecordsPointErrors(t *testing.T) {
 
 func TestAggregateGroupsAcrossSeeds(t *testing.T) {
 	grid := testGrid()
-	res, err := NewEngine(0).Run(grid)
+	res, err := NewEngine(0).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +169,7 @@ func TestAggregateGroupsAcrossSeeds(t *testing.T) {
 func TestValidateRejectsEmptyAxes(t *testing.T) {
 	grid := testGrid()
 	grid.Devices = nil
-	if _, err := NewEngine(1).Run(grid); err == nil {
+	if _, err := NewEngine(1).RunContext(context.Background(), grid); err == nil {
 		t.Fatal("expected validation error for empty device axis")
 	}
 }
@@ -179,7 +184,7 @@ func TestPaperCompareGridMatchesCompareSystems(t *testing.T) {
 	grid := PaperCompareGrid(42, 2, core.PolicyQLearning)
 	grid.Events = 60
 	grid.Traces = []TraceSpec{SolarTrace(1800, 0.04)}
-	res, err := NewEngine(3).Run(grid)
+	res, err := NewEngine(3).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -37,7 +38,7 @@ func goldenGrid() *Grid {
 // the bytes are stable across runs and worker counts by the engine's
 // determinism contract.
 func TestGridResultJSONGolden(t *testing.T) {
-	res, err := NewEngine(4).Run(goldenGrid())
+	res, err := NewEngine(4).RunContext(context.Background(), goldenGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,9 @@ type TraceKind string
 const (
 	TraceSolar   TraceKind = "solar"
 	TraceKinetic TraceKind = "kinetic"
-	TraceCSV     TraceKind = "csv"
 	// TraceRegistered resolves the spec's Name against the open trace
 	// registry (see RegisterTrace) — how user-defined and file-backed
-	// trace builders become grid axis values.
+	// trace builders (energy.TraceFromCSV) become grid axis values.
 	TraceRegistered TraceKind = "registered"
 )
 
@@ -38,8 +37,6 @@ type TraceSpec struct {
 	// PeakPower is the solar clear-sky peak or kinetic burst power in mW
 	// (0 = generator default).
 	PeakPower float64 `json:"peakPower,omitempty"`
-	// Path locates the CSV file for TraceCSV specs.
-	Path string `json:"path,omitempty"`
 }
 
 // Build materializes the trace with the given seed.
@@ -59,8 +56,6 @@ func (ts TraceSpec) Build(seed uint64) (*energy.Trace, error) {
 		return energy.SyntheticKineticTrace(energy.KineticConfig{
 			Seconds: ts.Seconds, BurstPower: ts.PeakPower, Seed: seed,
 		}), nil
-	case TraceCSV:
-		return energy.TraceFromCSV(ts.Path)(seed)
 	case TraceRegistered:
 		build, err := LookupTrace(ts.Name)
 		if err != nil {
@@ -238,16 +233,17 @@ func (g *Grid) Validate() error {
 			if err := ts.checkSeconds(); err != nil {
 				return fmt.Errorf("exper: grid %q: %w", g.Name, err)
 			}
-		case TraceCSV:
-			if ts.Path == "" {
-				return fmt.Errorf("exper: grid %q: csv trace %q has no path", g.Name, ts.Name)
-			}
 		case TraceRegistered:
 			if _, err := LookupTrace(ts.Name); err != nil {
 				return fmt.Errorf("exper: grid %q: %w", g.Name, err)
 			}
 		default:
 			return fmt.Errorf("exper: grid %q: unknown trace kind %q", g.Name, ts.Kind)
+		}
+	}
+	for _, st := range g.Storages {
+		if err := st.Storage.Validate(); err != nil {
+			return fmt.Errorf("exper: grid %q storage %q: %w", g.Name, st.Name, err)
 		}
 	}
 	names := map[string]bool{}

@@ -1,8 +1,10 @@
 package exper
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -70,7 +72,7 @@ func TestRegisteredAxesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(1).Run(grid)
+	res, err := NewEngine(1).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestRegisteredDeploymentResolvesAsPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRegistry, err := NewEngine(1).Run(grid)
+	viaRegistry, err := NewEngine(1).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestRegisteredDeploymentResolvesAsPolicy(t *testing.T) {
 		Storages: []StorageSpec{Capacitor(6)},
 		Seeds:    []uint64{1},
 	}
-	want, err := NewEngine(1).Run(direct)
+	want, err := NewEngine(1).RunContext(context.Background(), direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +163,29 @@ func stripElapsed(s string) string {
 }
 
 // TestCSVTraceAsGridAxis: a trace file written with the tracegen codec
-// is usable as a grid axis — both directly (kind "csv") and registered
-// by name through energy.TraceFromCSV — and the two paths are
-// bit-identical.
+// and registered by name through energy.TraceFromCSV is usable as a grid
+// axis, bit-identical to the same trace registered from memory.
 func TestCSVTraceAsGridAxis(t *testing.T) {
+	trace := energy.ConstantTrace(600, 0.06)
 	path := filepath.Join(t.TempDir(), "measured.csv")
-	if err := energy.SaveTraceCSV(path, energy.ConstantTrace(600, 0.06)); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := energy.WriteTraceCSV(f, trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := RegisterTrace("csv-axis-test", energy.TraceFromCSV(path)); err != nil {
 		t.Fatal(err)
 	}
-	// The two specs describe the same file differently, so the embedded
-	// grids differ; the simulated rows must not.
+	if err := RegisterTrace("csv-axis-memory", func(uint64) (*energy.Trace, error) { return trace, nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The two specs name different registrations, so the embedded grids
+	// differ; the simulated rows must not.
 	run := func(ts TraceSpec) string {
 		t.Helper()
 		g := &Grid{
@@ -185,7 +197,7 @@ func TestCSVTraceAsGridAxis(t *testing.T) {
 			Storages: []StorageSpec{Capacitor(6)},
 			Seeds:    []uint64{1},
 		}
-		res, err := NewEngine(1).Run(g)
+		res, err := NewEngine(1).RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +210,10 @@ func TestCSVTraceAsGridAxis(t *testing.T) {
 		}
 		return string(rows)
 	}
-	direct := run(TraceSpec{Name: "csv-axis-test", Kind: TraceCSV, Path: path})
-	registered := run(RegisteredTrace("csv-axis-test"))
-	if direct != registered {
-		t.Fatal("csv-kind and registered-kind trace axes diverge on the same file")
+	fromFile := run(RegisteredTrace("csv-axis-test"))
+	fromMemory := run(RegisteredTrace("csv-axis-memory"))
+	if fromFile != fromMemory {
+		t.Fatal("a file-backed trace axis diverges from the same trace held in memory")
 	}
 }
 

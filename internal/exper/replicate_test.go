@@ -151,7 +151,7 @@ func TestEachReplicateBuildsItsTraceOnce(t *testing.T) {
 	var docs [][]byte
 	for _, workers := range []int{1, 4} {
 		g := replicateGrid(t)
-		res, err := NewEngine(workers).Run(g)
+		res, err := NewEngine(workers).RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestEachReplicateBuildsItsTraceOnce(t *testing.T) {
 // reproduces the uninterrupted document.
 func TestResumeBuildsOnlyPendingReplicates(t *testing.T) {
 	g := replicateGrid(t)
-	full, err := NewEngine(2).Run(g)
+	full, err := NewEngine(2).RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestReplicatePointsShareScheduleAndBaselines(t *testing.T) {
 		g.Storages = []StorageSpec{Capacitor(3), Capacitor(4)}
 		g.Baselines = true
 		g.Schedule = countingSchedule(t)
-		res, err := NewEngine(workers).Run(g)
+		res, err := NewEngine(workers).RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 func TestResumeByteIdentical(t *testing.T) {
 	grid := testGrid()
 
-	full, err := NewEngine(2).Run(grid)
+	full, err := NewEngine(2).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestResumeByteIdentical(t *testing.T) {
 // still produces the identical document.
 func TestResumeAllComplete(t *testing.T) {
 	grid := testGrid()
-	full, err := NewEngine(2).Run(grid)
+	full, err := NewEngine(2).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/energy"
 )
 
 func TestGridSpecDefaultsToPaperGrid(t *testing.T) {
@@ -120,6 +122,23 @@ func TestGridSpecRejectsNegativeTraceSeconds(t *testing.T) {
 		}
 		if tr, err := ts.Build(1); err == nil {
 			t.Fatalf("%s trace with seconds %d built %d s", ts.Kind, ts.Seconds, tr.Duration())
+		}
+	}
+}
+
+// TestGridSpecRejectsInvalidStorage: a storage that would fail every
+// point at run time fails validation instead, naming the grid and the
+// storage, as a fleet population's storage does.
+func TestGridSpecRejectsInvalidStorage(t *testing.T) {
+	for _, st := range []energy.Storage{
+		{CapacityMJ: -1},
+		{CapacityMJ: 3, TurnOnMJ: 0.5, BrownOutMJ: 0.05, ChargeEfficiency: 0},
+		{CapacityMJ: 3, TurnOnMJ: 4, BrownOutMJ: 0.05, ChargeEfficiency: 0.9},
+	} {
+		spec := &GridSpec{Name: "caps", Events: 4, Storages: []StorageSpec{{Name: "bad", Storage: st}}}
+		_, err := spec.Grid()
+		if err == nil || !strings.Contains(err.Error(), `grid "caps" storage "bad"`) {
+			t.Fatalf("storage %+v: want an error naming the grid and storage, got %v", st, err)
 		}
 	}
 }

@@ -20,13 +20,12 @@ var ctxFirstPkgs = map[string]bool{
 // CtxThread enforces context threading: exported APIs in the blocking
 // packages take ctx as their first parameter, and library code never
 // mints its own root context — context.Background()/context.TODO() are
-// reserved for main functions, tests, and the deprecated façade.
+// reserved for main functions, tests, and blessed lifecycle roots.
 var CtxThread = &analysis.Analyzer{
 	Name: "ctxthread",
 	Doc: "exported APIs in internal/{exper,core,search,batch,fleet} must accept " +
 		"context.Context as their first parameter; context.Background() and " +
-		"context.TODO() are flagged in library code unless the enclosing " +
-		"function is marked Deprecated: or the call carries an " +
+		"context.TODO() are flagged in library code unless the call carries an " +
 		"//ehlint:allow ctxbg comment naming why it is a lifecycle root",
 	Run: runCtxThread,
 }
@@ -49,7 +48,7 @@ func runCtxThread(pass *analysis.Pass) error {
 			if checkFirst && fn.Name.IsExported() && fn.Body != nil {
 				checkCtxFirst(pass, fn)
 			}
-			if fn.Body == nil || docIsDeprecated(fn.Doc) {
+			if fn.Body == nil {
 				continue
 			}
 			checkNoRootCtx(pass, fn, allowed)

@@ -166,20 +166,6 @@ func docHasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// docIsDeprecated reports whether a doc comment carries the standard
-// "Deprecated:" marker.
-func docIsDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
 // inspectStack walks n, calling f with each node and the stack of its
 // ancestors (outermost first, not including n). Returning false prunes
 // the subtree.

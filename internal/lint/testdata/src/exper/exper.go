@@ -28,11 +28,11 @@ func RunTODO(g *Grid) error {
 }
 
 // RunDeprecated keeps the old no-context shape alive behind the
-// standard marker, which blesses its Background call.
+// standard marker, which blesses nothing: only an allow comment does.
 //
 // Deprecated: use RunContext.
 func RunDeprecated(g *Grid) error {
-	return RunContext(context.Background(), g)
+	return RunContext(context.Background(), g) // want "context.Background\\(\\) in library code"
 }
 
 // NewLifecycleRoot demonstrates the explicit escape hatch for true

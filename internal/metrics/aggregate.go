@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Aggregate summarizes a metric across repeated runs (different seeds),
@@ -118,18 +117,4 @@ func AggregateReports(reports []*Report) map[string]*Aggregate {
 		}
 	}
 	return out
-}
-
-// FormatAggregates renders a deterministic multi-line summary.
-func FormatAggregates(aggs map[string]*Aggregate) string {
-	keys := make([]string, 0, len(aggs))
-	for k := range aggs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintln(&b, aggs[k].String())
-	}
-	return b.String()
 }

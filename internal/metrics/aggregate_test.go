@@ -50,10 +50,9 @@ func TestAggregateReports(t *testing.T) {
 	if aggs["IEpmJ"].Std() != 0 {
 		t.Fatal("identical runs must have zero spread")
 	}
-	out := FormatAggregates(aggs)
-	for _, want := range []string{"IEpmJ", "accAll", "latency"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary missing %s:\n%s", want, out)
+	for _, want := range []string{"IEpmJ", "accAll", "accProcessed", "latency"} {
+		if a := aggs[want]; a == nil || !strings.HasPrefix(a.String(), want+":") {
+			t.Fatalf("aggregate %s missing or misnamed: %v", want, a)
 		}
 	}
 }

@@ -75,7 +75,7 @@ type Spec struct {
 
 // Describe captures the network's architecture as a Spec. It fails on
 // layer types outside the deployable set (conv, dense, ReLU, max/avg
-// pool, flatten) — e.g. Dropout, which is a training-only construct.
+// pool, flatten).
 func Describe(net *Network) (*Spec, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err

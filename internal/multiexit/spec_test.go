@@ -117,19 +117,28 @@ func TestSpecRoundTripBuilder(t *testing.T) {
 	}
 }
 
+// identityLayer is a layer outside the deployable set.
+type identityLayer struct{}
+
+func (identityLayer) Name() string                                    { return "identity" }
+func (identityLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (identityLayer) Backward(g *tensor.Tensor) *tensor.Tensor        { return g }
+func (identityLayer) Params() []*nn.Param                             { return nil }
+func (identityLayer) FLOPs() int64                                    { return 0 }
+func (identityLayer) WeightBits() int64                               { return 0 }
+
 // TestSpecRejects verifies multiexit.Describe refuses non-deployable layers and
 // multiexit.FromSpec refuses malformed specs.
 func TestSpecRejects(t *testing.T) {
-	drop := nn.NewDropout("drop", 0.5, 1)
 	fc := nn.NewDense("fc", 4, 2)
 	fc.Final = true
 	net := &multiexit.Network{
-		Segments: []*nn.Sequential{nn.NewSequential("s", drop)},
+		Segments: []*nn.Sequential{nn.NewSequential("s", identityLayer{})},
 		Branches: []*nn.Sequential{nn.NewSequential("b", nn.NewFlatten("f"), fc)},
 		Classes:  2,
 	}
 	if _, err := multiexit.Describe(net); err == nil {
-		t.Fatal("multiexit.Describe must reject dropout layers")
+		t.Fatal("multiexit.Describe must reject a layer it cannot describe")
 	}
 
 	bad := []multiexit.Spec{

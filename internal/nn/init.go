@@ -23,16 +23,6 @@ func InitHe(s *Sequential, rng *tensor.RNG) {
 	}
 }
 
-// InitUniform applies U[-bound, bound] initialization to every layer,
-// used by DDPG output layers which want small initial actions.
-func InitUniform(s *Sequential, rng *tensor.RNG, bound float64) {
-	for _, l := range s.Layers {
-		for _, p := range l.Params() {
-			tensor.FillUniform(p.Value, rng, -bound, bound)
-		}
-	}
-}
-
 // InitFanIn applies the DDPG paper's hidden-layer init: U[-1/√fanIn,
 // 1/√fanIn] for all but the final Dense layer, and U[-finalBound,
 // finalBound] for the final Dense layer.

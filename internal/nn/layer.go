@@ -165,7 +165,7 @@ func (l *MaxPool2D) Name() string { return l.name }
 
 // OutDims returns the spatial output dims for input h×w.
 func (l *MaxPool2D) OutDims(h, w int) (int, int) {
-	return (h-l.Kernel)/l.Stride + 1, (w-l.Kernel)/l.Stride + 1
+	return tensor.WindowOut(h, l.Kernel, l.Stride, 0), tensor.WindowOut(w, l.Kernel, l.Stride, 0)
 }
 
 // Forward implements Layer.

@@ -218,19 +218,33 @@ func TestActBitsAppliedOnlyAtInference(t *testing.T) {
 }
 
 // TestConv2DBadGeometryPanicNamesLayer: an invalid runtime geometry
-// (kernel larger than the padded input) must panic with the layer's
-// name, like every other Conv2D panic — not the bare geometry error.
+// (window larger than the padded input) must panic with the layer's
+// name, like every other layer panic — not the bare geometry error, and
+// not an index out of range from a window counted where none fits.
 func TestConv2DBadGeometryPanicNamesLayer(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic on invalid conv geometry")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, `Conv2D "tiny-conv"`) {
-			t.Fatalf("panic %q does not name the layer", msg)
-		}
-	}()
-	l := NewConv2D("tiny-conv", 1, 1, 5, 5, 1, 0)
-	l.Forward(tensor.New(1, 1, 3, 3), false) // 3x3 input cannot fit a 5x5 kernel
+	for _, tc := range []struct {
+		layer Layer
+		want  string
+		in    *tensor.Tensor
+	}{
+		// A 3x3 input cannot fit a 5x5 kernel.
+		{NewConv2D("tiny-conv", 1, 1, 5, 5, 1, 0), `Conv2D "tiny-conv"`, tensor.New(1, 1, 3, 3)},
+		// A 2x2 input cannot fit a 3x3 window; at stride 2 the
+		// truncating formula counted one.
+		{NewMaxPool2D("tiny-max", 3, 2), `MaxPool2D "tiny-max"`, tensor.New(1, 1, 2, 2)},
+		{NewAvgPool2D("tiny-avg", 3, 2), `AvgPool2D "tiny-avg"`, tensor.New(1, 1, 2, 2)},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: expected panic on invalid geometry", tc.want)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q does not name the layer %s", msg, tc.want)
+				}
+			}()
+			tc.layer.Forward(tc.in, false)
+		}()
+	}
 }

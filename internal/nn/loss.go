@@ -93,25 +93,3 @@ func CrossEntropyLoss(logits *tensor.Tensor, labels []int) (loss float64, grad *
 	loss /= float64(n)
 	return loss, grad
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n, c := logits.Dim(0), logits.Dim(1)
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*c : (i+1)*c]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		if best == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

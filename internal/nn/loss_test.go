@@ -119,14 +119,3 @@ func TestCrossEntropyBadLabelPanics(t *testing.T) {
 	}()
 	CrossEntropyLoss(tensor.New(1, 3), []int{3})
 }
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		1, 0, 0,
-		0, 5, 0,
-		0, 0, 2,
-	}, 3, 3)
-	if acc := Accuracy(logits, []int{0, 1, 0}); math.Abs(acc-2.0/3) > 1e-9 {
-		t.Fatalf("accuracy = %v", acc)
-	}
-}

@@ -118,7 +118,11 @@ func TestMLPTrainsXOR(t *testing.T) {
 	if loss > 0.1 {
 		t.Fatalf("XOR loss after training = %v", loss)
 	}
-	if acc := Accuracy(net.Forward(x, false), labels); acc != 1 {
-		t.Fatalf("XOR accuracy = %v", acc)
+	out := net.Forward(x, false)
+	for i, want := range labels {
+		row := tensor.FromSlice(out.Data[2*i:2*i+2], 2)
+		if got := row.ArgMax(); got != want {
+			t.Fatalf("XOR input %d classified %d, want %d", i, got, want)
+		}
 	}
 }

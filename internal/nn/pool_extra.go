@@ -30,7 +30,7 @@ func (l *AvgPool2D) Name() string { return l.name }
 
 // OutDims returns the spatial output dims for input h×w.
 func (l *AvgPool2D) OutDims(h, w int) (int, int) {
-	return (h-l.Kernel)/l.Stride + 1, (w-l.Kernel)/l.Stride + 1
+	return tensor.WindowOut(h, l.Kernel, l.Stride, 0), tensor.WindowOut(w, l.Kernel, l.Stride, 0)
 }
 
 // Forward implements Layer.
@@ -97,63 +97,4 @@ func (l *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
-}
-
-// Dropout randomly zeroes activations during training (inverted dropout:
-// survivors are scaled by 1/(1−p) so inference needs no correction).
-// Inference passes the input through untouched.
-type Dropout struct {
-	statelessParams
-	name string
-	// P is the drop probability.
-	P float64
-
-	rng  *tensor.RNG
-	mask []float32
-}
-
-// NewDropout returns a dropout layer with drop probability p.
-func NewDropout(name string, p float64, seed uint64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: Dropout %q probability %g outside [0,1)", name, p))
-	}
-	return &Dropout{name: name, P: p, rng: tensor.NewRNG(seed + 0xd409)}
-}
-
-// Name implements Layer.
-func (l *Dropout) Name() string { return l.name }
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.P == 0 {
-		return x
-	}
-	out := x.Clone()
-	if cap(l.mask) < out.Len() {
-		l.mask = make([]float32, out.Len())
-	}
-	l.mask = l.mask[:out.Len()]
-	scale := float32(1 / (1 - l.P))
-	for i := range out.Data {
-		if l.rng.Float64() < l.P {
-			l.mask[i] = 0
-			out.Data[i] = 0
-		} else {
-			l.mask[i] = scale
-			out.Data[i] *= scale
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if len(l.mask) != grad.Len() {
-		panic(fmt.Sprintf("nn: Dropout %q backward without matching forward", l.name))
-	}
-	out := grad.Clone()
-	for i := range out.Data {
-		out.Data[i] *= l.mask[i]
-	}
-	return out
 }

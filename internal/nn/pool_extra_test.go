@@ -44,61 +44,3 @@ func TestAvgPoolPreservesMean(t *testing.T) {
 		t.Fatalf("non-overlapping average pooling must preserve the mean: %v vs %v", inMean, outMean)
 	}
 }
-
-func TestDropoutInferencePassthrough(t *testing.T) {
-	l := NewDropout("d", 0.5, 1)
-	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
-	out := l.Forward(x, false)
-	if out.L2Distance(x) != 0 {
-		t.Fatal("inference-mode dropout must be identity")
-	}
-}
-
-func TestDropoutTrainDropsAndScales(t *testing.T) {
-	l := NewDropout("d", 0.5, 2)
-	x := tensor.New(1, 10000)
-	x.Fill(1)
-	out := l.Forward(x, true)
-	zeros := 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // 1/(1−0.5)
-		default:
-			t.Fatalf("unexpected value %v (inverted dropout scales survivors)", v)
-		}
-	}
-	frac := float64(zeros) / float64(out.Len())
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("drop fraction %.3f, want ≈0.5", frac)
-	}
-	// Expected activation preserved.
-	if mean := out.Sum() / float64(out.Len()); math.Abs(mean-1) > 0.05 {
-		t.Fatalf("mean after dropout %v, want ≈1", mean)
-	}
-}
-
-func TestDropoutBackwardMatchesMask(t *testing.T) {
-	l := NewDropout("d", 0.3, 3)
-	x := tensor.New(1, 100)
-	x.Fill(1)
-	out := l.Forward(x, true)
-	grad := tensor.New(1, 100)
-	grad.Fill(1)
-	dx := l.Backward(grad)
-	for i := range out.Data {
-		if (out.Data[i] == 0) != (dx.Data[i] == 0) {
-			t.Fatal("gradient mask must match forward mask")
-		}
-	}
-}
-
-func TestDropoutInvalidProbabilityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout("d", 1.0, 1)
-}

@@ -9,9 +9,8 @@
 // instruments are safe for concurrent use; WritePrometheus may run
 // concurrently with updates and emits a deterministic (sorted) snapshot.
 //
-// One registry backs both ehserved views: GET /metrics exposes it in
-// Prometheus text format, and GET /v1/stats renders a JSON view over the
-// very same instruments, so the two can never disagree.
+// ehserved keeps one registry and exposes it at GET /metrics in
+// Prometheus text format.
 package obs
 
 import (
@@ -145,27 +144,6 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	h := NewHistogram(buckets)
 	f.inst[labels] = h
 	return h
-}
-
-// CounterSum totals every series of a counter family — the registry-side
-// aggregate that keeps /v1/stats totals monotonic across series whose
-// source (a per-model queue) has been torn down.
-func (r *Registry) CounterSum(famName string) int64 {
-	r.mu.RLock()
-	f := r.fams[famName]
-	r.mu.RUnlock()
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var sum int64
-	for _, in := range f.inst {
-		if c, ok := in.(*Counter); ok {
-			sum += c.Value()
-		}
-	}
-	return sum
 }
 
 // WritePrometheus emits the registry in Prometheus text exposition

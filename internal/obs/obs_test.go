@@ -97,18 +97,6 @@ func TestMetricEscaping(t *testing.T) {
 	}
 }
 
-func TestCounterSum(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`served_total{model="a"}`).Add(2)
-	r.Counter(`served_total{model="b"}`).Add(5)
-	if got := r.CounterSum("served_total"); got != 7 {
-		t.Fatalf("CounterSum = %d", got)
-	}
-	if got := r.CounterSum("nonexistent"); got != 0 {
-		t.Fatalf("CounterSum(nonexistent) = %d", got)
-	}
-}
-
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total")
@@ -143,8 +131,12 @@ func TestRegistryConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := r.CounterSum("c_total"); got != 8*200 {
-		t.Fatalf("CounterSum = %d, want %d", got, 8*200)
+	var sum int64
+	for w := 0; w < 4; w++ {
+		sum += r.Counter(Metric("c_total", "w", fmt.Sprint(w))).Value()
+	}
+	if sum != 8*200 {
+		t.Fatalf("counter series sum to %d, want %d", sum, 8*200)
 	}
 	if got := r.Histogram("h_seconds", nil).Count(); got != 8*200 {
 		t.Fatalf("histogram count = %d", got)

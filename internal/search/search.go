@@ -264,12 +264,6 @@ func EstimateExitShares(exitCostsMJ []float64, trace *energy.Trace, schedule *en
 // between episodes; on cancellation the best-so-far Result is returned
 // alongside ctx.Err().
 func RL(ctx context.Context, net *multiexit.Network, sur *accmodel.Surrogate, cfg Config) (*Result, error) {
-	return rlInner(ctx, net, sur, cfg, nil)
-}
-
-// rlInner is RL with an optional per-candidate observer (used by
-// RLWithPareto).
-func rlInner(ctx context.Context, net *multiexit.Network, sur *accmodel.Surrogate, cfg Config, observe func([]compress.LayerPolicy, float64, compress.Measure)) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
@@ -316,9 +310,6 @@ func rlInner(ctx context.Context, net *multiexit.Network, sur *accmodel.Surrogat
 		racc, m, shares, accs, err := e.evaluate(lps)
 		if err != nil {
 			return nil, err
-		}
-		if observe != nil {
-			observe(lps, racc, m)
 		}
 
 		// Eq. 11–12 rewards, assigned at the terminal step.

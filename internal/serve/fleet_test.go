@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -231,6 +232,7 @@ func TestServeFleetCancel(t *testing.T) {
 // any job exists.
 func TestServeFleetBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, 1)
+	secret := secretTrace(t)
 	for _, body := range []string{
 		`{not json`,
 		`{"unknownField": 1}`,
@@ -250,14 +252,19 @@ func TestServeFleetBadSpecs(t *testing.T) {
 		`{"epochs":1,"events":4,"populations":[{"count":1,"epsilon":2}]}`,
 		`{"epochs":1,"events":4,"populations":[{"count":1,"trace":{"name":"x","kind":"solar","seconds":-1}}]}`,
 		`{"epochs":1,"events":4,"populations":[{"count":1,"trace":{"name":"x","kind":"kinetic","seconds":-1}}]}`,
+		`{"epochs":1,"events":4,"populations":[{"count":1,"trace":` + secret + `}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("spec %q: status %d, want 400", body, resp.StatusCode)
+		}
+		if strings.Contains(string(msg), secretMarker) {
+			t.Fatalf("spec %q: the answer quotes a host file: %s", body, msg)
 		}
 	}
 }

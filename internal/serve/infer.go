@@ -299,8 +299,8 @@ func (sv *Server) breakerHook(key string) func(to string) {
 // dropInferLocked removes a target (artifact deleted, shutdown) and
 // closes its queue in the background with a drain deadline. The dead
 // queue's counters live in the server registry keyed by model, so they
-// survive the teardown — /v1/stats totals and /metrics stay monotonic
-// with no extra bookkeeping here. Caller holds sv.mu.
+// survive the teardown — /metrics stays monotonic with no extra
+// bookkeeping here. Caller holds sv.mu.
 func (sv *Server) dropInferLocked(key string) {
 	tgt := sv.infers[key]
 	if tgt == nil {
@@ -317,14 +317,4 @@ func (sv *Server) dropInferLocked(key string) {
 		defer cancel()
 		_ = tgt.queue.Close(ctx)
 	}()
-}
-
-// inferStatus is one target's entry in GET /v1/stats.
-type inferStatus struct {
-	Model    string      `json:"model"`
-	Backend  string      `json:"backend"`
-	Exits    int         `json:"exits"`
-	InputLen int         `json:"inputLen"`
-	MaxBatch int         `json:"maxBatch"`
-	Queue    batch.Stats `json:"queue"`
 }

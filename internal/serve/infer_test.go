@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	ehinfer "repro"
 	"repro/internal/batch"
+	"repro/internal/obs"
 )
 
 // uploadArtifact posts an artifact and returns its id.
@@ -56,6 +58,26 @@ func inferBody(artifact string, n int) string {
 	return b.String()
 }
 
+// metricValue reads one series of GET /metrics, named with its labels
+// (`ehserved_infer_served_total{model="artifact:a1"}`); absent reads -1.
+func metricValue(t *testing.T, base, series string) float64 {
+	t.Helper()
+	code, dump := getBody(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, line := range strings.Split(dump, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return -1
+}
+
 // postInfer posts a raw body to /v1/infer and returns status + decoded
 // body.
 func postInfer(t *testing.T, base, body string) (int, map[string]any) {
@@ -73,8 +95,8 @@ func postInfer(t *testing.T, base, body string) (int, map[string]any) {
 }
 
 // TestServeInferEndToEnd uploads an artifact, infers against it (single
-// input and batch), and checks the response shape and the /v1/stats
-// accounting.
+// input and batch), and checks the response shape and the served count
+// on /metrics.
 func TestServeInferEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "infer-e2e"))
@@ -117,18 +139,43 @@ func TestServeInferEndToEnd(t *testing.T) {
 		t.Fatalf("tiny threshold took exit %d, want 0", exit)
 	}
 
-	// Stats reflect the served requests.
-	st := getJSON(t, ts.URL+"/v1/stats")
-	infer := st["infer"].(map[string]any)["artifact:"+id].(map[string]any)
-	q := infer["queue"].(map[string]any)
-	if served := q["served"].(float64); served != 4 {
+	// /metrics counts the served images.
+	if served := metricValue(t, ts.URL, obs.Metric(mInferServed, "model", artifactPrefix+id)); served != 4 {
 		t.Fatalf("served = %v, want 4", served)
 	}
-	if infer["backend"] != "plan" || int(infer["inputLen"].(float64)) != 3072 {
-		t.Fatalf("stats model block: %v", infer)
+}
+
+// TestServeInferCountedBeforeAnswer pins the queue's account-then-
+// answer order on the wire: right after each 200, /metrics already
+// counts that request, and the count outlives the artifact's queue.
+func TestServeInferCountedBeforeAnswer(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "counted-before-answer"))
+	served := obs.Metric(mInferServed, "model", artifactPrefix+id)
+	body := strings.Replace(inferBody(id, 1), `"inputs":[[`, `"input":[`, 1)
+	body = strings.Replace(body, `]]}`, `]}`, 1)
+
+	const n = 8
+	for i := 1; i <= n; i++ {
+		if code, out := postInfer(t, ts.URL, body); code != http.StatusOK {
+			t.Fatalf("request %d: %d %v", i, code, out)
+		}
+		if got := metricValue(t, ts.URL, served); got != float64(i) {
+			t.Fatalf("after answer %d, %s = %v", i, served, got)
+		}
 	}
-	if st["totals"].(map[string]any)["served"].(float64) != 4 {
-		t.Fatalf("totals: %v", st["totals"])
+
+	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/artifacts/"+id, nil)
+	resp, err := http.DefaultClient.Do(delReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d", resp.StatusCode)
+	}
+	if got := metricValue(t, ts.URL, served); got != n {
+		t.Fatalf("after delete, %s = %v, want %d", served, got, n)
 	}
 }
 
@@ -336,9 +383,9 @@ func TestServeInferBackpressure(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("queue bound never produced a 429")
 	}
-	st := getJSON(t, ts+"/v1/stats")
-	if st["totals"].(map[string]any)["rejected"].(float64) == 0 {
-		t.Fatal("stats did not count rejections")
+	rejected := metricValue(t, ts, obs.Metric(mInferRejected, "model", artifactPrefix+id))
+	if rejected != float64(shed) {
+		t.Fatalf("%s = %v, want the %d requests shed", mInferRejected, rejected, shed)
 	}
 }
 

@@ -108,9 +108,10 @@ type outcome struct {
 // With a data directory configured, the job checkpoints every item to
 // its store journal before acknowledging it to streamers, and retires
 // the journal when the run ends: Finalize (durable final document) on
-// success, Abort on explicit cancel or failure, plain Close on a
-// shutdown mid-run — the journal stays, and the next boot resumes the
-// job with the checkpointed items restored verbatim.
+// success, Abort on explicit cancel (DELETE, or a client leaving its
+// ?stream=1 run) or failure, plain Close on a shutdown mid-run — the
+// journal stays, and the next boot resumes the job with the
+// checkpointed items restored verbatim.
 type job struct {
 	id     string
 	kind   *jobKind
@@ -123,7 +124,7 @@ type job struct {
 	// Crash-safety wiring; nil for an in-memory-only job. journal is
 	// touched only by the run goroutine after construction.
 	journal *store.JobJournal
-	aborted atomic.Bool // set by DELETE so retire aborts, not keeps
+	aborted atomic.Bool // set by DELETE or a departed streamer so retire aborts, not keeps
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -484,12 +485,16 @@ func (sv *Server) handleSubmit(k *jobKind) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if r.URL.Query().Get("stream") != "" {
-			sv.runStreaming(w, r, k, eng)
-			return
+		stream := r.URL.Query().Get("stream") != ""
+		// A streamed run inherits the request, so a client that leaves
+		// ends it; an asynchronous one lives until DELETE or shutdown.
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if stream {
+			ctx, cancel = mergeCancel(r.Context(), sv.baseCtx)
+		} else {
+			ctx, cancel = context.WithCancel(sv.baseCtx)
 		}
-
-		ctx, cancel := context.WithCancel(sv.baseCtx)
 		j, err := sv.register(k, eng, cancel) // on success, wg is incremented for the job
 		if err != nil {
 			cancel()
@@ -509,6 +514,10 @@ func (sv *Server) handleSubmit(k *jobKind) http.HandlerFunc {
 				}
 			}
 		}
+		if stream {
+			sv.runStreaming(ctx, w, j)
+			return
+		}
 		sv.launch(ctx, j)
 
 		loc := "/v1/" + k.name + "s/" + j.id
@@ -520,16 +529,10 @@ func (sv *Server) handleSubmit(k *jobKind) http.HandlerFunc {
 }
 
 // runStreaming executes the job synchronously on the request: one
-// NDJSON line per item, then a summary line. The run inherits the
-// request context, so client disconnects abort it promptly.
-func (sv *Server) runStreaming(w http.ResponseWriter, r *http.Request, k *jobKind, eng engine) {
-	ctx, cancel := mergeCancel(r.Context(), sv.baseCtx)
-	defer cancel()
-	j, err := sv.register(k, eng, cancel) // on success, wg is incremented for the job
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
+// NDJSON line per item, then a summary line. ctx ends when the client
+// disconnects, which aborts the run promptly.
+func (sv *Server) runStreaming(ctx context.Context, w http.ResponseWriter, j *job) {
+	defer j.cancel()
 	startNDJSON(w)
 	// The run's end must not cancel ctx: the tail would take that for
 	// the client leaving and drop the summary line.
@@ -540,13 +543,19 @@ func (sv *Server) runStreaming(w http.ResponseWriter, r *http.Request, k *jobKin
 		j.run(ctx, sv.session)
 	}()
 	if !j.tail(ctx, w) {
-		cancel() // client is gone: abort the run
+		// A client that leaves its stream cancels the job as DELETE
+		// does, journal included; a shutdown keeps the journal so the
+		// next boot resumes the job.
+		if sv.baseCtx.Err() == nil {
+			j.aborted.Store(true)
+		}
+		j.cancel()
 		<-runDone
 		return
 	}
 	<-runDone
 	line := j.summary()
-	maps.Copy(line, eng.streamed())
+	maps.Copy(line, j.eng.streamed())
 	_ = json.NewEncoder(w).Encode(line)
 }
 

@@ -128,7 +128,7 @@ type wireKind struct {
 	list          string // the kind's listing of jobs 1 to 3
 	restored      string // job 1's status after a restart
 	restoredSum   string // job 1's ?format=ndjson summary after a restart
-	restoredList  string // the kind's listing after a restart
+	restoredList  string // the kind's listing after a restart: jobs 1 and 2
 	badJSON       string // 400 reply to `{not json`
 	badSpec       string // prefix of the 400 reply to unresolvable
 	unknown999    string // 404 reply for id 999
@@ -153,7 +153,7 @@ var wireKinds = []wireKind{{
 		`{"id":"g3","name":"slow","state":"canceled","completed":0,"total":16,"workers":1,"elapsedMs":0,"err":"context canceled"}]}` + "\n",
 	restored:     `{"id":"g1","name":"e2e","state":"done","completed":4,"total":4,"elapsedMs":0}` + "\n",
 	restoredSum:  `{"completed":4,"done":true,"pointErrs":0,"state":"done","total":4,"workers":0}`,
-	restoredList: `{"grids":[{"id":"g1","name":"e2e","state":"done","completed":4,"total":4,"elapsedMs":0}]}` + "\n",
+	restoredList: `{"grids":[{"id":"g1","name":"e2e","state":"done","completed":4,"total":4,"elapsedMs":0},{"id":"g2","name":"e2e","state":"done","completed":4,"total":4,"elapsedMs":0}]}` + "\n",
 	badJSON:      `{"error":"bad grid spec: invalid character 'n' looking for beginning of object key string"}` + "\n",
 	badSpec:      `{"error":"exper: unknown device \"Z80\"`,
 	unknown999:   `{"error":"unknown grid \"g999\""}` + "\n",
@@ -193,7 +193,7 @@ var wireKinds = []wireKind{{
 		`{"id":"f3","name":"fleet-slow","state":"canceled","completed":0,"total":60,"elapsedMs":0,"err":"context canceled"}]}` + "\n",
 	restored:     `{"id":"f1","name":"fleet-e2e","state":"done","completed":4,"total":4,"elapsedMs":0}` + "\n",
 	restoredSum:  `{"completed":4,"done":true,"state":"done","total":4}`,
-	restoredList: `{"fleets":[{"id":"f1","name":"fleet-e2e","state":"done","completed":4,"total":4,"elapsedMs":0}]}` + "\n",
+	restoredList: `{"fleets":[{"id":"f1","name":"fleet-e2e","state":"done","completed":4,"total":4,"elapsedMs":0},{"id":"f2","name":"fleet-e2e","state":"done","completed":4,"total":4,"elapsedMs":0}]}` + "\n",
 	badJSON:      `{"error":"bad fleet spec: invalid character 'n' looking for beginning of object key string"}` + "\n",
 	badSpec:      `{"error":"fleet: population \"x\": exper: unknown device \"nope\"`,
 	unknown999:   `{"error":"unknown fleet \"f999\""}` + "\n",
@@ -301,9 +301,9 @@ func TestJobWire(t *testing.T) {
 	expect(t, "jobs", jobs, http.StatusOK, "", jobRows(wireKinds, func(k wireKind) string { return k.list }))
 	shutdownServer(t, sv, ts)
 
-	// A restart serves each kind's finished job 1 from its final
-	// document. Job 2 streamed without a journal and job 3 was canceled,
-	// so neither comes back.
+	// A restart serves each kind's finished jobs 1 and 2 from their final
+	// documents; job 2 ran on its ?stream=1 request and was journaled as
+	// job 1 was. Job 3 was canceled, so it does not come back.
 	sv2, ts2 := durableServer(t, dir, 1)
 	defer shutdownServer(t, sv2, ts2)
 	for _, k := range wireKinds {
@@ -408,9 +408,9 @@ func TestJobRetention(t *testing.T) {
 	}
 }
 
-// TestJobIDsNeverReissued: a canceled job leaves nothing on disk, and a
-// streamed one never had a journal, yet after a restart neither id is
-// issued again, for either kind.
+// TestJobIDsNeverReissued: a canceled job leaves nothing on disk, yet
+// after a restart its id is not issued again, nor a streamed job's, for
+// either kind.
 func TestJobIDsNeverReissued(t *testing.T) {
 	dir := t.TempDir()
 	sv, ts := durableServer(t, dir, 1)

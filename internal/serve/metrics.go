@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -119,8 +118,8 @@ func (sv *Server) initMetrics() {
 // queue updates, labeled by model key in the server registry. Keyed
 // instruments are get-or-create: a queue rebuilt for the same model
 // continues the series, and a torn-down queue's counters stay in the
-// registry — which is what keeps /v1/stats totals and /metrics counters
-// monotonic across artifact deletes.
+// registry — which is what keeps the /metrics counters monotonic across
+// artifact deletes.
 func (sv *Server) queueMetrics(key string) *batch.Metrics {
 	maxBatch := sv.batchCfg.MaxBatch
 	if maxBatch <= 0 {
@@ -209,49 +208,4 @@ func (sv *Server) retained(k *jobKind) func() float64 {
 		defer sv.mu.Unlock()
 		return float64(len(k.order))
 	}
-}
-
-// statsDeprecation is the /v1/stats deprecation notice.
-const statsDeprecation = "GET /v1/stats is deprecated; scrape GET /metrics (Prometheus text format) instead"
-
-// handleStats is the deprecated JSON view over the same obs registry
-// /metrics exposes: per live model the queue snapshot, plus
-// registry-level served/rejected totals that include torn-down queues —
-// monotonic across artifact deletes by construction.
-func (sv *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	sv.mu.Lock()
-	targets := make([]*inferTarget, 0, len(sv.infers))
-	for _, tgt := range sv.infers {
-		targets = append(targets, tgt)
-	}
-	jobs := len(sv.grids.order)
-	sv.mu.Unlock()
-
-	infer := make(map[string]inferStatus, len(targets))
-	for _, tgt := range targets {
-		infer[tgt.key] = inferStatus{
-			Model:    tgt.key,
-			Backend:  tgt.model.Backend().String(),
-			Exits:    tgt.model.NumExits(),
-			InputLen: tgt.model.InputLen(),
-			MaxBatch: tgt.model.MaxBatch(),
-			Queue:    tgt.queue.Stats(),
-		}
-	}
-	keys := make([]string, 0, len(infer))
-	for k := range infer {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptimeMs": time.Since(sv.started).Milliseconds(),
-		"infer":    infer,
-		"models":   keys,
-		"totals": map[string]int64{
-			"served":   sv.reg.CounterSum(mInferServed),
-			"rejected": sv.reg.CounterSum(mInferRejected),
-		},
-		"grids":      map[string]int{"jobs": jobs},
-		"deprecated": statsDeprecation,
-	})
 }

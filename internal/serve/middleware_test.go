@@ -96,17 +96,17 @@ func TestMiddlewareChainOrder(t *testing.T) {
 	// Rate limit: burst 1 admits the first /v1/ request; the second
 	// sheds 429 with Retry-After, WITHOUT consuming queue or handler
 	// work. Health/metrics stay exempt.
-	if code, _ := getBody(t, ts+"/v1/stats"); code != http.StatusOK {
-		t.Fatalf("first /v1/stats: %d", code)
+	if code, _ := getBody(t, ts+"/v1/jobs"); code != http.StatusOK {
+		t.Fatalf("first /v1/jobs: %d", code)
 	}
-	resp, err = http.Get(ts + "/v1/stats")
+	resp, err = http.Get(ts + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second /v1/stats: %d, want 429", resp.StatusCode)
+		t.Fatalf("second /v1/jobs: %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
@@ -246,69 +246,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing histogram series %q", want)
 		}
-	}
-}
-
-// TestStatsGoldenShape pins the deprecated /v1/stats JSON contract —
-// the fields a dashboard built on PR 5 reads — and that its totals are
-// the same numbers /metrics reports, surviving artifact deletion.
-func TestStatsGoldenShape(t *testing.T) {
-	sv, ts := newTestServer(t, 1)
-	id := uploadArtifact(t, ts.URL, encodeTestArtifact(t, "stats-golden"))
-	if code, out := postInfer(t, ts.URL, inferBody(id, 2)); code != http.StatusOK {
-		t.Fatalf("infer: %d %v", code, out)
-	}
-
-	st := getJSON(t, ts.URL+"/v1/stats")
-	for _, key := range []string{"uptimeMs", "infer", "models", "totals", "grids", "deprecated"} {
-		if _, ok := st[key]; !ok {
-			t.Errorf("stats missing top-level %q", key)
-		}
-	}
-	model := "artifact:" + id
-	entry, ok := st["infer"].(map[string]any)[model].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing infer entry for %s: %v", model, st["infer"])
-	}
-	for _, key := range []string{"model", "backend", "exits", "inputLen", "maxBatch", "queue"} {
-		if _, ok := entry[key]; !ok {
-			t.Errorf("stats infer entry missing %q", key)
-		}
-	}
-	q := entry["queue"].(map[string]any)
-	for _, key := range []string{"served", "rejected", "canceled", "batches", "queueDepth", "maxDepth", "batchSizes", "meanBatch", "latencyMs", "throughputPerSec"} {
-		if _, ok := q[key]; !ok {
-			t.Errorf("stats queue block missing %q", key)
-		}
-	}
-	if got := q["served"].(float64); got != 2 {
-		t.Fatalf("queue served = %v, want 2", got)
-	}
-	if got := st["totals"].(map[string]any)["served"].(float64); got != 2 {
-		t.Fatalf("totals served = %v, want 2", got)
-	}
-	if models := st["models"].([]any); len(models) != 1 || models[0] != model {
-		t.Fatalf("models = %v", models)
-	}
-
-	// Both views agree: the stats totals equal the registry counters
-	// /metrics serves.
-	if sum := sv.reg.CounterSum("ehserved_infer_served_total"); sum != 2 {
-		t.Fatalf("registry served sum = %d, want 2", sum)
-	}
-
-	// Delete the artifact: the live entry disappears, but totals are
-	// monotonic — the registry remembers the torn-down queue.
-	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/artifacts/"+id, nil)
-	if resp, err := http.DefaultClient.Do(delReq); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete: %v", err)
-	}
-	st = getJSON(t, ts.URL+"/v1/stats")
-	if _, ok := st["infer"].(map[string]any)[model]; ok {
-		t.Fatal("deleted model still listed in infer block")
-	}
-	if got := st["totals"].(map[string]any)["served"].(float64); got != 2 {
-		t.Fatalf("post-delete totals served = %v, want monotonic 2", got)
 	}
 }
 

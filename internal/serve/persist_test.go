@@ -277,6 +277,62 @@ func TestCanceledJobNotResumed(t *testing.T) {
 	}
 }
 
+// TestStreamedJobJournal: a ?stream=1 job is journaled as an
+// asynchronous one is. A client that leaves its stream cancels the job
+// and removes the journal, as DELETE does, so the next boot does not
+// know the job; a shutdown keeps the journal, and the next boot resumes
+// the job.
+func TestStreamedJobJournal(t *testing.T) {
+	for _, clientLeaves := range []bool{true, false} {
+		dir := t.TempDir()
+		sv, ts := durableServer(t, dir, 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/grids?stream=1", strings.NewReader(slowSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal := filepath.Join(dir, "jobs", "g1.journal")
+		if _, err := os.Stat(journal); err != nil {
+			t.Fatalf("streamed job has no journal once its stream started: %v", err)
+		}
+		if clientLeaves {
+			cancel()
+			resp.Body.Close()
+			waitState(t, ts.URL, "g1", StateCanceled)
+			if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("a client leaving its stream kept the journal: %v", err)
+			}
+			shutdownServer(t, sv, ts)
+		} else {
+			sctx, scancel := context.WithTimeout(context.Background(), 20*time.Second)
+			if err := sv.Shutdown(sctx); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			scancel()
+			resp.Body.Close()
+			cancel()
+			ts.Close()
+			if _, err := os.Stat(journal); err != nil {
+				t.Fatalf("a shutdown dropped the streamed job's journal: %v", err)
+			}
+		}
+
+		sv2, ts2 := durableServer(t, dir, 1)
+		code, body := getBody(t, ts2.URL+"/v1/grids/g1")
+		shutdownServer(t, sv2, ts2)
+		switch {
+		case clientLeaves && code != http.StatusNotFound:
+			t.Fatalf("a job its streaming client left came back: %d %s", code, body)
+		case !clientLeaves && (code != http.StatusOK || !strings.Contains(body, `"state":"running"`)):
+			t.Fatalf("a streamed job stopped by shutdown was not resumed: %d %s", code, body)
+		}
+	}
+}
+
 // TestJournalWithoutTraceSeedsNotResumed: a grid journal whose point
 // lines carry no replicateSeed was written before a replicate's points
 // shared their trace, schedule and baseline rows: with no seed field,

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -247,6 +251,7 @@ func TestServeDeleteCancelsJob(t *testing.T) {
 
 func TestServeRejectsBadInput(t *testing.T) {
 	_, ts := newTestServer(t, 1)
+	secret := secretTrace(t)
 	for _, body := range []string{
 		`{not json`,
 		`{"devices": ["Z80"]}`,
@@ -255,14 +260,20 @@ func TestServeRejectsBadInput(t *testing.T) {
 		fastSpec + `}`,
 		fastSpec + `{"garbage": true}`,
 		`{"events":4,"traces":[{"name":"x","kind":"solar","seconds":-1}]}`,
+		`{"events":4,"traces":[` + secret + `]}`,
+		`{"events":4,"storages":[{"name":"bad","storage":{"CapacityMJ":-1}}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/grids", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("spec %q: want 400, got %d", body, resp.StatusCode)
+		}
+		if strings.Contains(string(msg), secretMarker) {
+			t.Fatalf("spec %q: the answer quotes a host file: %s", body, msg)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/grids/g999")
@@ -273,6 +284,22 @@ func TestServeRejectsBadInput(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: want 404, got %d", resp.StatusCode)
 	}
+}
+
+// secretMarker is the content of the host file secretTrace names.
+const secretMarker = "TOPSECRET-serve-test-marker"
+
+// secretTrace writes a host file holding secretMarker and returns a
+// trace-spec object that names it by path, the shape of the csv trace
+// kind that specs no longer carry: a daemon that opened the file would
+// quote the marker in its parse error.
+func secretTrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "secret.csv")
+	if err := os.WriteFile(path, []byte("t_seconds,power_mw\n0,0.1\n1,"+secretMarker+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"name":"x","kind":"csv","path":%q}`, path)
 }
 
 // TestServeResultsConflictWhileRunning: the aggregated-results endpoint

@@ -76,7 +76,11 @@ type storedArtifact struct {
 //	GET    /v1/jobs             unified grid+fleet job listing
 //	POST   /v1/infer            online inference against an artifact or
 //	                            registered deployment (micro-batched)
-//	GET    /v1/stats            deprecated JSON stats view (see /metrics)
+//	POST   /v1/artifacts        upload a deployment artifact; 201 + id
+//	GET    /v1/artifacts        list uploaded artifacts
+//	GET    /v1/artifacts/{id}   download an artifact
+//	DELETE /v1/artifacts/{id}   delete an artifact
+//	GET    /v1/registry         registered names of every axis kind
 //	GET    /metrics             Prometheus text exposition
 //	GET    /healthz             liveness
 //	GET    /readyz              readiness (503 once draining)
@@ -115,7 +119,7 @@ type Server struct {
 	// batchCfg tunes the per-model micro-batching queues behind
 	// /v1/infer; infers holds them, created lazily per referenced
 	// model. Their counters live in reg, keyed by model, and outlive
-	// queue teardown — /v1/stats totals stay monotonic that way.
+	// queue teardown — the /metrics counters stay monotonic that way.
 	batchCfg batch.Config
 	infers   map[string]*inferTarget
 
@@ -314,7 +318,6 @@ func (sv *Server) routes() []route {
 	rts = append(rts, []route{
 		{"GET", "/v1/jobs", sv.handleJobs},
 		{"POST", "/v1/infer", sv.handleInfer},
-		{"GET", "/v1/stats", sv.handleStats},
 		{"POST", "/v1/artifacts", sv.handleArtifactUpload},
 		{"GET", "/v1/artifacts", sv.handleArtifactList},
 		{"GET", "/v1/artifacts/{id}", sv.handleArtifactDownload},
@@ -347,8 +350,8 @@ func (sv *Server) Routes() []string {
 	return out
 }
 
-// Metrics returns the server's obs registry — /metrics and /v1/stats
-// are views over it, and embedders may add their own instruments.
+// Metrics returns the server's obs registry — /metrics exposes it, and
+// embedders may add their own instruments.
 func (sv *Server) Metrics() *obs.Registry { return sv.reg }
 
 func (sv *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {

@@ -12,11 +12,23 @@ type ConvGeom struct {
 	PadW          int
 }
 
+// WindowOut returns how many positions a window of size k takes, moving
+// by stride, over an input of length in padded by pad on each side — the
+// output length of a convolution or pooling axis. It is 0 when the
+// window is larger than the padded input, where the plain formula's
+// truncating division would still count one position.
+func WindowOut(in, k, stride, pad int) int {
+	if in+2*pad < k {
+		return 0
+	}
+	return (in+2*pad-k)/stride + 1
+}
+
 // OutH returns the output height for the geometry.
-func (g ConvGeom) OutH() int { return (g.InH+2*g.PadH-g.KH)/g.StrideH + 1 }
+func (g ConvGeom) OutH() int { return WindowOut(g.InH, g.KH, g.StrideH, g.PadH) }
 
 // OutW returns the output width for the geometry.
-func (g ConvGeom) OutW() int { return (g.InW+2*g.PadW-g.KW)/g.StrideW + 1 }
+func (g ConvGeom) OutW() int { return WindowOut(g.InW, g.KW, g.StrideW, g.PadW) }
 
 // Validate reports an error if the geometry is degenerate.
 func (g ConvGeom) Validate() error {

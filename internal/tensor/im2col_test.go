@@ -25,15 +25,20 @@ func TestConvGeomValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
-	bad := good
-	bad.KH = 9 // kernel larger than input with no padding
-	if err := bad.Validate(); err == nil {
-		t.Fatal("oversized kernel accepted")
-	}
-	bad = good
-	bad.StrideH = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero stride accepted")
+	for _, bad := range []struct {
+		what string
+		g    ConvGeom
+	}{
+		{"kernel larger than the input with no padding",
+			ConvGeom{InC: 1, InH: 4, InW: 4, KH: 9, KW: 3, StrideH: 1, StrideW: 1}},
+		{"zero stride", ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 0, StrideW: 1}},
+		// Truncating (1-2)/2 toward zero would count one output column.
+		{"kernel wider than the input at stride 2",
+			ConvGeom{InC: 1, InH: 1, InW: 1, KH: 1, KW: 2, StrideH: 1, StrideW: 2}},
+	} {
+		if err := bad.g.Validate(); err == nil {
+			t.Errorf("%s accepted: %+v (out %dx%d)", bad.what, bad.g, bad.g.OutH(), bad.g.OutW())
+		}
 	}
 }
 

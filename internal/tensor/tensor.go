@@ -164,16 +164,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// AxpyInPlace computes t += alpha*o element-wise.
-func (t *Tensor) AxpyInPlace(alpha float32, o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: AxpyInPlace volume mismatch %d vs %d", len(t.Data), len(o.Data)))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
-	}
-}
-
 // ScaleInPlace multiplies every element by alpha.
 func (t *Tensor) ScaleInPlace(alpha float32) {
 	for i := range t.Data {

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewShapeAndLen(t *testing.T) {
@@ -96,12 +95,8 @@ func TestArithmetic(t *testing.T) {
 	if a.Data[2] != 33 {
 		t.Fatalf("AddInPlace: %v", a.Data)
 	}
-	a.AxpyInPlace(2, b)
-	if a.Data[0] != 31 {
-		t.Fatalf("AxpyInPlace: %v", a.Data)
-	}
 	a.ScaleInPlace(0.5)
-	if a.Data[0] != 15.5 {
+	if a.Data[0] != 5.5 {
 		t.Fatalf("ScaleInPlace: %v", a.Data)
 	}
 }
@@ -145,28 +140,5 @@ func TestSameShape(t *testing.T) {
 	}
 	if New(2, 3).SameShape(New(2, 3, 1)) {
 		t.Fatal("different ranks should not match")
-	}
-}
-
-// Property: Axpy with alpha 1 equals Add.
-func TestAxpyEqualsAddProperty(t *testing.T) {
-	f := func(vals []float32) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		a1 := FromSlice(append([]float32(nil), vals...), len(vals))
-		a2 := FromSlice(append([]float32(nil), vals...), len(vals))
-		b := FromSlice(append([]float32(nil), vals...), len(vals))
-		a1.AddInPlace(b)
-		a2.AxpyInPlace(1, b)
-		for i := range a1.Data {
-			if a1.Data[i] != a2.Data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -138,7 +138,7 @@ func (s *Session) Backend() InferBackend { return s.backend }
 
 // engine builds a fresh engine carrying the session's shared state. The
 // engine itself is stateless across runs; the cache is the shared part.
-func (s *Session) engine() *ExperimentEngine {
+func (s *Session) engine() *exper.Engine {
 	e := exper.NewEngine(s.workers)
 	e.Cache = s.cache
 	e.Backend = s.backend

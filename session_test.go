@@ -156,7 +156,7 @@ func TestSessionStreamingMatchesFinal(t *testing.T) {
 func TestSessionBitIdenticalToEnginePath(t *testing.T) {
 	g := sessionTestGrid()
 
-	old, err := NewExperimentEngine(1).Run(g)
+	old, err := exper.NewEngine(1).RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
