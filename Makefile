@@ -33,15 +33,17 @@ cross:
 test:
 	$(GO) test ./...
 
-## test-cpu: run the batched-executor, micro-batching-queue, fleet,
-## Q-learning, intermittent-engine, runtime and energy packages at
-## GOMAXPROCS 1 and 4, twice each, so a single-core machine cannot hide
-## a concurrency bug in the multi-lane walk, the dispatcher or the
-## fleet's sharding, and state cannot leak between re-runs of the
-## episode kernel or the harvest loop. Narrow on purpose: the write-once
+## test-cpu: run the whole suite once at GOMAXPROCS 1, then the
+## batched-executor, micro-batching-queue, fleet, Q-learning,
+## intermittent-engine, runtime and energy packages at GOMAXPROCS 1 and
+## 4, twice each, so a single-core machine cannot hide a concurrency bug
+## in the multi-lane walk, the dispatcher or the fleet's sharding, and
+## state cannot leak between re-runs of the episode kernel or the
+## harvest loop. The second run is narrow on purpose: the write-once
 ## registries are process globals, so a whole-suite -count=2 pass fails
 ## on "already registered"
 test-cpu:
+	$(GO) test -cpu 1 ./...
 	$(GO) test -count=2 -cpu 1,4 ./internal/plan/ ./internal/batch/ ./internal/fleet/ ./internal/qlearn/ ./internal/intermittent/ ./internal/core/ ./internal/energy/
 
 ## race: run the full test suite under the race detector

@@ -78,7 +78,7 @@ type (
 	// PolicyMode selects Q-learning vs static-LUT exit selection.
 	PolicyMode = core.PolicyMode
 	// InferBackend selects the empirical-mode inference backend:
-	// compiled plan (default), legacy layer walk, or int8 fixed-point.
+	// the compiled float plan (default) or the int8 integer pipeline.
 	InferBackend = core.InferBackend
 
 	// Report aggregates simulation outcomes (IEpmJ, accuracy, latency).
@@ -178,22 +178,22 @@ const (
 
 // Inference backends. The zero value BackendDefault means "no explicit
 // choice" and resolves to BackendPlan: a compiled zero-allocation
-// inference plan whose float32 output is bit-identical to the legacy
-// layer walk. BackendInt8Fast runs the integer pipeline the MCU
-// executes (int8 weights packed once for the host's GEMM kernel, uint8
+// inference plan whose float32 output is bit-identical to the layer
+// walk. BackendInt8Fast runs the integer pipeline the MCU executes
+// (int8 weights packed once for the host's GEMM kernel, uint8
 // activations, int32 accumulators, fixed-point requantization): the
 // fastest backend, its logits a deterministic function of weights and
 // input, holding statistical (per-exit accuracy) rather than bitwise
-// parity with the float plan. BackendLegacy is the original layer walk.
+// parity with the float plan.
 const (
 	BackendDefault  = core.BackendDefault
 	BackendPlan     = core.BackendPlan
-	BackendLegacy   = core.BackendLegacy
 	BackendInt8Fast = core.BackendInt8Fast
 )
 
-// ParseBackend resolves a backend name ("plan" or its alias "float32",
-// "legacy", "int8fast" or its alias "int8"); "" yields BackendDefault.
+// ParseBackend resolves a backend name ("plan" or its aliases "float32"
+// and "legacy", "int8fast" or its alias "int8"); "" yields
+// BackendDefault.
 func ParseBackend(name string) (InferBackend, error) { return core.ParseBackend(name) }
 
 // BackendNames lists the canonical inference-backend names.

@@ -127,8 +127,8 @@ func parityScenario(t *testing.T) (*Scenario, *Deployed) {
 // TestSaveLoadRunParity is the round-trip guarantee of the artifact
 // redesign: SaveDeployed → LoadDeployed → RunProposed produces a
 // byte-identical report JSON to the never-serialized deployment, on
-// every inference backend — plan, legacy, and the integer backend,
-// named here by its "int8" alias.
+// both inference backends: the plan, and the integer backend named
+// here by its "int8" alias.
 func TestSaveLoadRunParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical parity test skipped in -short")
@@ -153,7 +153,7 @@ func TestSaveLoadRunParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, name := range []string{"plan", "legacy", "int8"} {
+	for _, name := range []string{"plan", "int8"} {
 		backend, err := ParseBackend(name)
 		if err != nil {
 			t.Fatal(err)
@@ -263,12 +263,12 @@ func TestArtifactDefaultBackendApplies(t *testing.T) {
 	}
 	rt, err = NewRuntime(restored, RuntimeConfig{
 		Storage: sc.Storage, Device: sc.Device, Seed: sc.Seed, TestSet: sc.TestSet,
-		Backend: BackendLegacy,
+		Backend: BackendPlan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Backend() != BackendLegacy {
+	if rt.Backend() != BackendPlan {
 		t.Fatalf("explicit backend must win, got %v", rt.Backend())
 	}
 }

@@ -31,10 +31,10 @@
 // back. Requests are micro-batched per model — held up to -batch-window
 // for company, dispatched at -max-batch — with bounded queues that shed
 // load as 429 once -queue-cap requests are waiting. A request may name
-// its inference backend ("plan", "legacy", or the integer pipeline
-// "int8fast", which "int8" also names); each (model, backend) pair is
-// served as its own target with its own compiled plan, queue, breaker,
-// and metrics:
+// its inference backend ("plan", which "float32" and "legacy" also
+// name, or the integer pipeline "int8fast", which "int8" also names);
+// each (model, backend) pair is served as its own target with its own
+// compiled plan, queue, breaker, and metrics:
 //
 //	curl -s -X POST localhost:8080/v1/infer \
 //	    -d '{"artifact":"a1","input":[0.1, ...],"threshold":0.8}'

@@ -15,7 +15,7 @@
 //
 //	train [-epochs N] [-train N] [-test N] [-augment N] [-seed N]
 //	      [-cifar dir] [-policy policy.json]
-//	      [-save-deployed model.ehar] [-backend plan|legacy|int8fast]
+//	      [-save-deployed model.ehar] [-backend plan|int8fast]
 //	      [-name label]
 package main
 
@@ -42,7 +42,7 @@ func main() {
 		cifarDir = flag.String("cifar", "", "directory with CIFAR-10 binary batches (overrides SynthCIFAR)")
 		policyF  = flag.String("policy", "", "compression policy JSON to apply after training")
 		deployF  = flag.String("save-deployed", "", "output deployment-artifact file (architecture + weights + accuracies + policy + calibration)")
-		backendF = flag.String("backend", "", "default inference backend recorded in the artifact (plan, legacy, int8fast; int8 is an alias of int8fast)")
+		backendF = flag.String("backend", "", "default inference backend recorded in the artifact (plan or int8fast; legacy is an alias of plan, int8 of int8fast)")
 		nameF    = flag.String("name", "", "artifact label (default: derived from the policy file)")
 	)
 	flag.Parse()

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/tensor"
 )
 
 // Options tune one inference request beyond its input.
@@ -62,28 +61,17 @@ type Prediction struct {
 }
 
 // Model is a deployed network bound to a serving backend: a compiled
-// batched plan (float32 by default, or the packed-weight int8
-// pipeline), or the legacy layer walk for architectures the plan
-// compiler rejects. All methods are safe for concurrent use; execution
-// state is pooled (plan backends) or serialized (the layer walk mutates
-// network internals).
+// batched plan, float32 by default or the packed-weight int8 pipeline.
+// All methods are safe for concurrent use; execution state lives on
+// pooled lanes, never on the Model.
 type Model struct {
 	d        *core.Deployed
 	backend  core.InferBackend
 	geom     plan.Geometry
 	maxBatch int
 
-	bplan *plan.Plan // float32 or int8 plan (nil on legacy)
-
-	execs sync.Pool  // *batchLane
-	mu    sync.Mutex // serializes legacy layer-walk execution
-
-	// legacyScratch is the layer walk's softmax scratch; the walk is
-	// already serialized on mu, so one buffer suffices. The plan
-	// backends keep scratch on their pooled lanes instead — Model
-	// methods are concurrency-safe, so per-call state must live on
-	// per-call pooled contexts, never on the Model.
-	legacyScratch []float32
+	bplan *plan.Plan
+	execs sync.Pool // *batchLane
 }
 
 // batchLane is one pooled plan execution context: the batched
@@ -101,9 +89,10 @@ const DefaultMaxBatch = 8
 // NewModel binds a deployment to a serving backend. backend resolution
 // follows the runtime's precedence: an explicit choice wins, otherwise
 // the deployment's own DefaultBackend, otherwise the compiled plan.
-// Architectures the plan compiler cannot size (no leading conv with
-// nominal dims) are rejected — the serving boundary must know the input
-// shape to validate requests before the nn layer walk can panic.
+// A deployment whose plan does not compile on that backend is rejected,
+// and so is one the plan compiler cannot size (no leading conv with
+// nominal dims): the serving boundary must know the input shape to
+// validate requests.
 func NewModel(d *core.Deployed, backend core.InferBackend, maxBatch int) (*Model, error) {
 	if d == nil {
 		return nil, fmt.Errorf("batch: nil deployment")
@@ -121,27 +110,13 @@ func NewModel(d *core.Deployed, backend core.InferBackend, maxBatch int) (*Model
 		return nil, fmt.Errorf("batch: cannot serve this architecture: %w", err)
 	}
 	m := &Model{d: d, backend: backend, geom: geom, maxBatch: maxBatch}
-	switch backend {
-	case core.BackendInt8Fast:
-		// The packed-weight integer pipeline batches like float32: its
-		// plan runs through the lane-banded BatchExec below.
+	if backend == core.BackendInt8Fast {
 		m.bplan, err = d.Int8FastPlanPinned()
-		if err != nil {
-			return nil, fmt.Errorf("batch: int8-fast lowering failed: %w", err)
-		}
-	case core.BackendLegacy:
-		// Explicit layer-walk request: don't compile (and cache) a float
-		// plan that would never run.
-		m.legacyScratch = make([]float32, d.Net.Classes)
-	default:
-		// BackendPlan serves from the compiled float plan when it
-		// compiles; otherwise the layer walk keeps unsupported-but-valid
-		// architectures servable.
-		if m.bplan, err = d.FloatPlan(); err != nil {
-			m.bplan = nil
-			m.backend = core.BackendLegacy
-			m.legacyScratch = make([]float32, d.Net.Classes)
-		}
+	} else {
+		m.bplan, err = d.FloatPlan()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("batch: %s backend cannot compile this deployment: %w", backend, err)
 	}
 	return m, nil
 }
@@ -224,11 +199,7 @@ func (m *Model) inferChunk(reqs []Req, preds []Prediction) {
 			ExitConfidences: make([]float64, 0, reqs[i].Exit+1),
 		}
 	}
-	if m.bplan != nil {
-		m.inferBatched(reqs, preds, maxExit)
-	} else {
-		m.inferLegacy(reqs, preds)
-	}
+	m.inferBatched(reqs, preds, maxExit)
 	for i := range preds {
 		p := &preds[i]
 		// Exit taken: the first exit whose confidence clears the
@@ -246,13 +217,6 @@ func (m *Model) inferChunk(reqs []Req, preds []Prediction) {
 		p.Class = p.ExitClasses[take]
 		p.Confidence = p.ExitConfidences[take]
 	}
-}
-
-// record appends exit e's verdict to p, computing confidence in the
-// caller-owned scratch.
-func record(p *Prediction, scratch, logits []float32) {
-	p.ExitClasses = append(p.ExitClasses, plan.Argmax(logits))
-	p.ExitConfidences = append(p.ExitConfidences, plan.LogitsConfidence(logits, scratch))
 }
 
 // inferBatched runs the chunk through a pooled batched executor
@@ -275,24 +239,9 @@ func (m *Model) inferBatched(reqs []Req, preds []Prediction, maxExit int) {
 	}
 	ln.be.ScanExits(inputs, maxExit, func(e, i int, logits []float32) {
 		if e <= reqs[i].Exit {
-			record(&preds[i], ln.scratch[i], logits)
+			p := &preds[i]
+			p.ExitClasses = append(p.ExitClasses, plan.Argmax(logits))
+			p.ExitConfidences = append(p.ExitConfidences, plan.LogitsConfidence(logits, ln.scratch[i]))
 		}
 	})
-}
-
-// inferLegacy walks the layers directly. The walk caches forward state
-// on the layers themselves, so it is serialized on the model lock
-// (which also guards legacyScratch).
-func (m *Model) inferLegacy(reqs []Req, preds []Prediction) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range reqs {
-		img := tensor.FromSlice(reqs[i].Input, m.geom.C, m.geom.H, m.geom.W)
-		st := m.d.Net.InferTo(img, 0)
-		record(&preds[i], m.legacyScratch, st.Logits.Data)
-		for e := 1; e <= reqs[i].Exit; e++ {
-			st = m.d.Net.Resume(st, e)
-			record(&preds[i], m.legacyScratch, st.Logits.Data)
-		}
-	}
 }

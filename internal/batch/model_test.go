@@ -7,6 +7,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/multiexit"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -108,8 +109,9 @@ func TestModelExitAndThreshold(t *testing.T) {
 	}
 }
 
-// TestModelInt8AndLegacy checks the non-default backends answer and
-// agree with their own single-image reference paths.
+// TestModelInt8AndLegacy checks that a deployment naming "int8" serves
+// on int8fast and one naming "legacy" on the plan, each agreeing with
+// its single-image reference.
 func TestModelInt8AndLegacy(t *testing.T) {
 	// int8: a deployment whose default names "int8" serves on the
 	// integer backend, and its pinned-scale plan is the reference.
@@ -140,20 +142,67 @@ func TestModelInt8AndLegacy(t *testing.T) {
 		t.Fatalf("int8 class %d, want %d", pred.Class, st.Predicted())
 	}
 
-	// legacy: explicit request wins over the plan default and matches
-	// the layer walk (which is itself bit-identical to the plan).
-	d2 := testDeployed(t, core.BackendDefault)
-	lm, err := NewModel(d2, core.BackendLegacy, 4)
+	// legacy: an alias of the plan, whose answer is the layer walk's.
+	lb, err := core.ParseBackend("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lm.Backend() != core.BackendLegacy {
-		t.Fatalf("backend = %v, want legacy", lm.Backend())
+	d2 := testDeployed(t, lb)
+	lm, err := NewModel(d2, core.BackendDefault, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm.Backend() != core.BackendPlan {
+		t.Fatalf("backend = %v, want plan", lm.Backend())
 	}
 	lp := lm.Infer(Req{Input: in, Options: Options{Exit: -1}})
+	if lp.Backend != "plan" {
+		t.Fatalf("backend label %q", lp.Backend)
+	}
 	want := d2.Net.InferTo(tensor.FromSlice(in, 3, 32, 32), lm.NumExits()-1)
 	if lp.Class != want.Predicted() || lp.Confidence != want.Confidence() {
 		t.Fatalf("legacy (%d, %v), want (%d, %v)", lp.Class, lp.Confidence, want.Predicted(), want.Confidence())
+	}
+}
+
+// TestModelServesAvgPoolOnPlan: a deployment with average pools in its
+// trunk and a branch serves on the float plan, every exit's answer
+// equal to the layer walk's, and int8fast, which has no average-pool
+// step, refuses it.
+func TestModelServesAvgPoolOnPlan(t *testing.T) {
+	net := multiexit.LeNetEE(tensor.NewRNG(3))
+	for _, seqs := range [][]*nn.Sequential{net.Segments, net.Branches} {
+		for _, seq := range seqs {
+			for i, l := range seq.Layers {
+				if mp, ok := l.(*nn.MaxPool2D); ok {
+					seq.Layers[i] = nn.NewAvgPool2D(mp.Name(), mp.Kernel, mp.Stride)
+				}
+			}
+		}
+	}
+	d, err := core.NewDeployed(net, []float64{0.6, 0.7, 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(d, core.BackendDefault, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Backend() != core.BackendPlan {
+		t.Fatalf("backend = %v, want plan", m.Backend())
+	}
+	in := testInput(11, m.InputLen())
+	pred := m.Infer(Req{Input: in, Options: Options{Exit: -1}})
+	img := tensor.FromSlice(in, 3, 32, 32)
+	for e := 0; e < m.NumExits(); e++ {
+		want := net.InferTo(img, e)
+		if pred.ExitClasses[e] != want.Predicted() || pred.ExitConfidences[e] != want.Confidence() {
+			t.Fatalf("exit %d: (%d, %v), layer walk (%d, %v)",
+				e, pred.ExitClasses[e], pred.ExitConfidences[e], want.Predicted(), want.Confidence())
+		}
+	}
+	if _, err := NewModel(d, core.BackendInt8Fast, 4); err == nil || !strings.Contains(err.Error(), "avgpool") {
+		t.Fatalf("int8fast on an avgpool deployment: err = %v, want an avgpool error", err)
 	}
 }
 

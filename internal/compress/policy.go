@@ -79,16 +79,6 @@ func (p *Policy) Validate() error {
 	return nil
 }
 
-// ByLayer returns the policy entry for the named layer.
-func (p *Policy) ByLayer(name string) (LayerPolicy, bool) {
-	for _, lp := range p.Layers {
-		if lp.Layer == name {
-			return lp, true
-		}
-	}
-	return LayerPolicy{}, false
-}
-
 // String renders a Fig. 4-style table.
 func (p *Policy) String() string {
 	var b strings.Builder

@@ -21,12 +21,10 @@ const (
 	// request win over such defaults.
 	BackendDefault InferBackend = iota
 	// BackendPlan runs the compiled zero-allocation inference plan
-	// (internal/plan). Output is bit-identical to the legacy layer
-	// walk; it is strictly a performance choice.
+	// (internal/plan). Output is bit-identical to the layer walk
+	// (multiexit.Network.InferTo/Resume), the reference the parity
+	// tests check it against. "float32" and "legacy" name it too.
 	BackendPlan
-	// BackendLegacy walks nn.Sequential layer by layer — the original
-	// path, kept as the semantic reference.
-	BackendLegacy
 	// BackendInt8Fast runs the integer pipeline (plan.CompileInt8Fast):
 	// int8 weights pre-packed for the host's GEMM kernel, uint8
 	// activations, int32 accumulators and a fused fixed-point
@@ -44,8 +42,6 @@ func (b InferBackend) String() string {
 		return "default"
 	case BackendPlan:
 		return "plan"
-	case BackendLegacy:
-		return "legacy"
 	case BackendInt8Fast:
 		return "int8fast"
 	default:
@@ -63,16 +59,14 @@ func (b InferBackend) Resolve() InferBackend {
 }
 
 // ParseBackend resolves a backend name: "" → BackendDefault, "plan" (or
-// its alias "float32") → BackendPlan, "legacy", and "int8fast" (or its
-// alias "int8") → BackendInt8Fast.
+// its aliases "float32" and "legacy") → BackendPlan, and "int8fast" (or
+// its alias "int8") → BackendInt8Fast.
 func ParseBackend(name string) (InferBackend, error) {
 	switch name {
 	case "":
 		return BackendDefault, nil
-	case "plan", "float32":
+	case "plan", "float32", "legacy":
 		return BackendPlan, nil
-	case "legacy":
-		return BackendLegacy, nil
 	case "int8fast", "int8":
 		return BackendInt8Fast, nil
 	default:
@@ -82,7 +76,7 @@ func ParseBackend(name string) (InferBackend, error) {
 
 // BackendNames lists the canonical backend names a declarative spec may
 // use.
-func BackendNames() []string { return []string{"int8fast", "legacy", "plan"} }
+func BackendNames() []string { return []string{"int8fast", "plan"} }
 
 // planCache lazily compiles the deployment's float32 inference plan.
 // It lives on the Deployed, which the experiment engine's DeployCache
@@ -98,8 +92,8 @@ type planCache struct {
 }
 
 // FloatPlan returns the deployment's compiled float32 plan, compiling it
-// on first use. An error means the architecture cannot be compiled (the
-// runtime then falls back to the layer walk).
+// on first use. An error means the architecture cannot be compiled, and
+// so cannot run empirically or be served.
 func (d *Deployed) FloatPlan() (*plan.Plan, error) {
 	d.planc.once.Do(func() {
 		geom, err := plan.InferGeometry(d.Net)

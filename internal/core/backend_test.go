@@ -16,7 +16,7 @@ import (
 func TestParseBackend(t *testing.T) {
 	cases := map[string]InferBackend{
 		"": BackendDefault, "plan": BackendPlan, "float32": BackendPlan,
-		"legacy": BackendLegacy, "int8": BackendInt8Fast, "int8fast": BackendInt8Fast,
+		"legacy": BackendPlan, "int8": BackendInt8Fast, "int8fast": BackendInt8Fast,
 	}
 	for name, want := range cases {
 		got, err := ParseBackend(name)
@@ -27,8 +27,7 @@ func TestParseBackend(t *testing.T) {
 	if _, err := ParseBackend("cuda"); err == nil {
 		t.Fatal("expected error for unknown backend")
 	}
-	if BackendPlan.String() != "plan" || BackendLegacy.String() != "legacy" ||
-		BackendInt8Fast.String() != "int8fast" {
+	if BackendPlan.String() != "plan" || BackendInt8Fast.String() != "int8fast" {
 		t.Fatal("backend names drifted from the registry")
 	}
 	if BackendDefault.Resolve() != BackendPlan || BackendInt8Fast.Resolve() != BackendInt8Fast {
@@ -36,9 +35,10 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// TestInt8BackendUnavailableErrors verifies an explicit int8 request on
-// a deployment that cannot lower returns an error instead of silently
-// running float arithmetic.
+// TestInt8BackendUnavailableErrors verifies that an empirical runtime
+// on a deployment no plan can compile returns an error on either
+// backend: an int8 request never silently runs float arithmetic, and a
+// float request has no second executor to fall back to.
 func TestInt8BackendUnavailableErrors(t *testing.T) {
 	// A trunk with no conv layer defeats plan.InferGeometry, so neither
 	// backend can compile this deployment.
@@ -61,15 +61,11 @@ func TestInt8BackendUnavailableErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("int8 backend on an uncompilable deployment must error, not fall back to float")
 	}
-	// The plan backend may fall back to the (bit-identical) layer walk.
-	rt, err := NewRuntime(d, RuntimeConfig{
+	_, err = NewRuntime(d, RuntimeConfig{
 		TestSet: test, Backend: BackendPlan, SkipFitCheck: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Backend() != BackendLegacy {
-		t.Fatalf("expected reported fallback to legacy, got %v", rt.Backend())
+	if err == nil {
+		t.Fatal("plan backend on an uncompilable deployment must error")
 	}
 }
 
@@ -112,29 +108,63 @@ func runEmpirical(t *testing.T, d *Deployed, sc *Scenario, test *dataset.Set, b 
 	return rt, rep
 }
 
+// avgPoolLeNet returns LeNet-EE with every max-pool, in trunk and
+// branch alike, replaced by an average pool of the same window.
+func avgPoolLeNet(seed uint64) *multiexit.Network {
+	net := multiexit.LeNetEE(tensor.NewRNG(seed))
+	for _, seqs := range [][]*nn.Sequential{net.Segments, net.Branches} {
+		for _, seq := range seqs {
+			for i, l := range seq.Layers {
+				if mp, ok := l.(*nn.MaxPool2D); ok {
+					seq.Layers[i] = nn.NewAvgPool2D(mp.Name(), mp.Kernel, mp.Stride)
+				}
+			}
+		}
+	}
+	return net
+}
+
 // TestBackendPlanMatchesLegacy is the integration half of the plan
 // parity gate: a full empirical episode (Q-learning decisions, waits,
-// incremental refinement) must produce a byte-identical report on the
-// compiled plan and the legacy layer walk, at worker counts 1 and 4.
+// incremental refinement) on the compiled plan reports the same at
+// worker counts 1 and 4, and every processed event's correctness is
+// the layer walk's (multiexit.Network.InferTo) at the exit it took. It
+// runs LeNet-EE and a variant whose pools average.
 func TestBackendPlanMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical test skipped in -short")
 	}
 	d, sc, test := empiricalSetup(t, 97)
-	for _, workers := range []int{1, 4} {
-		prev := tensor.SetWorkers(workers)
-		rtPlan, repPlan := runEmpirical(t, d, sc, test, BackendPlan)
-		_, repLegacy := runEmpirical(t, d, sc, test, BackendLegacy)
-		tensor.SetWorkers(prev)
-
-		if rtPlan.Backend() != BackendPlan {
-			t.Fatalf("plan runtime fell back to %v", rtPlan.Backend())
+	avg := avgPoolLeNet(97)
+	dAvg, err := NewDeployed(avg, multiexit.EvalExits(avg, test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Deployed{"maxpool": d, "avgpool": dAvg} {
+		var reps [2]*metrics.Report
+		for i, workers := range []int{1, 4} {
+			prev := tensor.SetWorkers(workers)
+			var rt *Runtime
+			rt, reps[i] = runEmpirical(t, d, sc, test, BackendPlan)
+			tensor.SetWorkers(prev)
+			if rt.Backend() != BackendPlan {
+				t.Fatalf("%s: runtime runs %v, want plan", name, rt.Backend())
+			}
 		}
-		if !reflect.DeepEqual(repPlan, repLegacy) {
-			t.Fatalf("workers=%d: plan-backend report differs from legacy backend", workers)
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Fatalf("%s: plan-backend report differs between 1 and 4 workers", name)
 		}
-		if repPlan.ProcessedCount() == 0 {
-			t.Fatal("episode processed nothing — parity check is vacuous")
+		if reps[0].ProcessedCount() == 0 {
+			t.Fatalf("%s: episode processed nothing — parity check is vacuous", name)
+		}
+		for i, out := range reps[0].Outcomes {
+			if !out.Processed {
+				continue
+			}
+			s := test.Samples[sc.Schedule.Events[i].SampleIndex]
+			if want := d.Net.InferTo(s.Image, out.Exit).Predicted() == s.Label; out.Correct != want {
+				t.Fatalf("%s: event %d at exit %d: correct %v, layer walk says %v", name, i, out.Exit, out.Correct, want)
+			}
 		}
 	}
 }

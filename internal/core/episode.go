@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/intermittent"
 	"repro/internal/metrics"
-	"repro/internal/multiexit"
 	"repro/internal/plan"
 	"repro/internal/qlearn"
 	"repro/internal/tensor"
@@ -72,8 +71,8 @@ type Episode struct {
 	// RNG drives exploration and the surrogate correctness draws.
 	RNG *tensor.RNG
 	// Plan/PlanState run empirical-mode events on the compiled plan
-	// (one State reused across events keeps inference allocation-free);
-	// when nil, empirical events take the layer walk.
+	// (one State reused across events keeps inference allocation-free).
+	// Both must be set when events carry samples.
 	Plan      *plan.Exec
 	PlanState *plan.State
 
@@ -85,12 +84,11 @@ type Episode struct {
 	hasPending bool
 
 	// The current event's inference: the surrogate difficulty draw u,
-	// or the empirical sample with its layer-walk state or a mark that
-	// PlanState holds its inference. Held here and reset per event, so
-	// that no event allocates.
+	// or the empirical sample with a mark that PlanState holds its
+	// inference. Held here and reset per event, so that no event
+	// allocates.
 	u           float64
 	sample      *dataset.Sample
-	walk        *multiexit.State
 	planStarted bool
 }
 
@@ -136,7 +134,7 @@ func (e *Episode) Event(eng *intermittent.Engine, t, deadline int, sample *datas
 	}
 	eng.AdvanceTo(float64(t))
 	e.u = e.RNG.Float64()
-	e.sample, e.walk, e.planStarted = sample, nil, false
+	e.sample, e.planStarted = sample, false
 
 	store := eng.Store
 	m := len(e.Costs)
@@ -268,23 +266,14 @@ func (e *Episode) End(eng *intermittent.Engine) {
 //ehlint:hotpath
 func (e *Episode) correctAt(exit int) (bool, float64) {
 	if s := e.sample; s != nil {
-		if e.Plan != nil {
-			// Compiled backend: zero-allocation InferTo/Resume on the
-			// reused plan state.
-			if !e.planStarted {
-				e.Plan.InferTo(e.PlanState, s.Image, exit)
-				e.planStarted = true
-			} else if exit > e.PlanState.Exit {
-				e.Plan.Resume(e.PlanState, exit)
-			}
-			return e.PlanState.Predicted() == s.Label, e.PlanState.Confidence()
+		// Zero-allocation InferTo/Resume on the reused plan state.
+		if !e.planStarted {
+			e.Plan.InferTo(e.PlanState, s.Image, exit)
+			e.planStarted = true
+		} else if exit > e.PlanState.Exit {
+			e.Plan.Resume(e.PlanState, exit)
 		}
-		if e.walk == nil {
-			e.walk = e.Deployed.Net.InferTo(s.Image, exit)
-		} else if exit > e.walk.Exit {
-			e.walk = e.Deployed.Net.Resume(e.walk, exit)
-		}
-		return e.walk.Predicted() == s.Label, e.walk.Confidence()
+		return e.PlanState.Predicted() == s.Label, e.PlanState.Confidence()
 	}
 	acc := e.Deployed.ExitAccs[exit]
 	correct := e.u < acc

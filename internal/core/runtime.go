@@ -236,28 +236,24 @@ func NewRuntime(d *Deployed, cfg RuntimeConfig) (*Runtime, error) {
 	}
 	cfg.Backend = cfg.Backend.Resolve()
 	r.cfg.Backend = cfg.Backend
-	if cfg.TestSet != nil && cfg.Backend != BackendLegacy {
-		// Empirical mode on a compiled backend: build the executor once.
+	if cfg.TestSet != nil {
+		// Empirical mode: build the executor once.
+		var p *plan.Plan
+		var perr error
 		if cfg.Backend == BackendInt8Fast {
-			// The integer backend was explicitly requested; a deployment
-			// that cannot lower must not silently produce float results.
 			calib := cfg.Calibration
 			if len(calib) == 0 && d.Int8Calibration == nil {
 				calib = calibrationSamples(cfg.TestSet, 8)
 			}
-			p, perr := d.int8Plan(calib)
-			if perr != nil {
-				return nil, fmt.Errorf("core: %s backend unavailable for this deployment: %w", cfg.Backend, perr)
-			}
-			r.ep.Plan = p.NewExec()
-			r.ep.PlanState = p.NewState()
-		} else if p, perr := d.FloatPlan(); perr == nil {
-			// The float plan is bit-identical to the layer walk, so a
-			// deployment that cannot compile (exotic architecture)
-			// falls back to the walk — same results, just slower.
-			r.ep.Plan = p.NewExec()
-			r.ep.PlanState = p.NewState()
+			p, perr = d.int8Plan(calib)
+		} else {
+			p, perr = d.FloatPlan()
 		}
+		if perr != nil {
+			return nil, fmt.Errorf("core: %s backend unavailable for this deployment: %w", cfg.Backend, perr)
+		}
+		r.ep.Plan = p.NewExec()
+		r.ep.PlanState = p.NewState()
 	}
 	const maxPowerInit = 0.05 // mW; rebinned per-run from the trace peak
 	r.ep.ExitAgent = qlearn.NewExitAgent(len(costs), cfg.EnergyBins, cfg.PowerBins, cfg.Storage.CapacityMJ, maxPowerInit)
@@ -279,14 +275,8 @@ func calibrationSamples(set *dataset.Set, n int) []*tensor.Tensor {
 	return imgs
 }
 
-// Backend reports the effective inference backend: the configured one,
-// downgraded to legacy when no plan could be compiled.
-func (r *Runtime) Backend() InferBackend {
-	if r.cfg.TestSet != nil && r.ep.Plan == nil {
-		return BackendLegacy
-	}
-	return r.cfg.Backend
-}
+// Backend reports the resolved inference backend.
+func (r *Runtime) Backend() InferBackend { return r.cfg.Backend }
 
 // SetExploration sets ε on both Q-tables (0 for greedy evaluation).
 func (r *Runtime) SetExploration(eps float64) {

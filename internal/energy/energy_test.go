@@ -64,6 +64,21 @@ func TestKineticTraceBursty(t *testing.T) {
 	}
 }
 
+// TestKineticZeroFrac checks the idle fraction of a shorter kinetic
+// trace than TestKineticTraceBursty's: some seconds, never all of them.
+func TestKineticZeroFrac(t *testing.T) {
+	tr := SyntheticKineticTrace(KineticConfig{Seconds: 5000, Seed: 2})
+	zeros := 0
+	for _, p := range tr.Power {
+		if p == 0 {
+			zeros++
+		}
+	}
+	if frac := float64(zeros) / float64(tr.Duration()); frac <= 0 || frac >= 1 {
+		t.Fatalf("kinetic idle fraction %v implausible", frac)
+	}
+}
+
 func TestConstantTrace(t *testing.T) {
 	tr := ConstantTrace(10, 0.5)
 	if tr.TotalEnergy() != 5 {

@@ -21,14 +21,15 @@ type Result struct {
 	Point Point            `json:"point"`
 	Rows  []core.SystemRow `json:"rows,omitempty"`
 	Err   string           `json:"err,omitempty"`
-	// Skipped marks a point that never ran because the grid was canceled
-	// before a worker reached it. Skipped points carry Err = ErrSkipped
-	// and are excluded from aggregation like any other failed point.
+	// Skipped marks a point that a canceled grid never reached, or whose
+	// run the cancellation cut short. Skipped points carry Err =
+	// ErrSkipped and are excluded from aggregation like any other failed
+	// point.
 	Skipped bool `json:"skipped,omitempty"`
 }
 
 // ErrSkipped is the Err string recorded on points a canceled run never
-// reached.
+// reached or cut short.
 const ErrSkipped = "exper: point skipped (grid canceled)"
 
 // Engine shards a grid's points across a goroutine worker pool. The zero
@@ -207,6 +208,11 @@ func (e *Engine) RunContext(ctx context.Context, g *Grid) (*GridResult, error) {
 					results[i] = Result{Point: points[i], Err: msg}
 				} else {
 					results[i] = runPoint(ctx, g, points[i], rep, deps[points[i].Policy.Name], e.Backend)
+					if results[i].Err != "" && ctx.Err() != nil {
+						// Torn by the run's own cancellation: not the
+						// point's outcome, so skipped like an unreached one.
+						results[i] = Result{Point: points[i], Err: ErrSkipped, Skipped: true}
+					}
 				}
 				rep.release()
 				if notify != nil {

@@ -33,7 +33,7 @@ func TestRunContextCancelPreservesPartialResults(t *testing.T) {
 	if len(res.Results) != grid.Size() {
 		t.Fatalf("results slice must keep enumeration shape: %d vs %d", len(res.Results), grid.Size())
 	}
-	var completed, skipped, aborted int
+	var completed, skipped int
 	for _, r := range res.Results {
 		switch {
 		case len(r.Rows) > 0 && r.Err == "":
@@ -43,10 +43,9 @@ func TestRunContextCancelPreservesPartialResults(t *testing.T) {
 				t.Fatalf("skipped point carries Err %q", r.Err)
 			}
 			skipped++
-		case r.Err != "":
-			aborted++ // canceled mid-point: recorded as a failed point
 		default:
-			t.Fatalf("point %d is neither completed, skipped, nor aborted: %+v", r.Point.Index, r)
+			// A point torn mid-flight by the cancel is skipped too.
+			t.Fatalf("point %d is neither completed nor skipped: %+v", r.Point.Index, r)
 		}
 	}
 	if completed == 0 {
@@ -55,7 +54,7 @@ func TestRunContextCancelPreservesPartialResults(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("with 1 worker and an early cancel, some points must be skipped")
 	}
-	t.Logf("completed=%d aborted=%d skipped=%d", completed, aborted, skipped)
+	t.Logf("completed=%d skipped=%d", completed, skipped)
 
 	// Completed points must be bit-identical to an uncancelled run.
 	full, err := NewEngine(1).RunContext(context.Background(), grid)

@@ -183,10 +183,10 @@ type Grid struct {
 	// triple — and every point of the triple carries the same rows.
 	Baselines bool `json:"baselines,omitempty"`
 	// Backend names the empirical-mode inference backend ("plan" — the
-	// default compiled zero-allocation plan —, "legacy", or "int8fast",
-	// which "int8" also names; see core.BackendNames). Surrogate-mode
-	// points never execute the network, so it only affects grids whose
-	// runs attach samples.
+	// default compiled zero-allocation plan, which "legacy" also names —
+	// or "int8fast", which "int8" also names; see core.BackendNames).
+	// Surrogate-mode points never execute the network, so it only
+	// affects grids whose runs attach samples.
 	Backend string `json:"backend,omitempty"`
 	// Schedule names the event-schedule generator, called once per
 	// replicate ("" = "uniform"; see ScheduleNames and

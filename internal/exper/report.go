@@ -120,8 +120,7 @@ func (gr *GridResult) Aggregate() []AggRow {
 			rows[i].AccProcessed.Add(row.AccProcessed)
 			if row.ProcessedFrac > 0 {
 				// Runs that processed nothing have no latency to report;
-				// counting their zero would bias the mean low (same
-				// convention as metrics.AggregateReports).
+				// counting their zero would bias the mean low.
 				rows[i].LatencyS.Add(row.MeanLatencyS)
 			}
 		}

@@ -94,7 +94,7 @@ func TestGridSpecBackend(t *testing.T) {
 	if _, err := (&GridSpec{Backend: "no-such-backend"}).Grid(); err == nil {
 		t.Fatal("unknown backend must be rejected at grid validation")
 	}
-	if names := BackendNames(); len(names) != 3 {
+	if names := BackendNames(); len(names) != 2 {
 		t.Fatalf("backend registry drifted: %v", names)
 	}
 	if g, err := (&GridSpec{Backend: "int8fast"}).Grid(); err != nil || g.Backend != "int8fast" {

@@ -99,22 +99,3 @@ func (a *Aggregate) String() string {
 	return fmt.Sprintf("%s: %.4f ± %.4f [%.4f, %.4f] (n=%d)",
 		a.Name, a.Mean(), a.Std(), a.Min(), a.Max(), a.N())
 }
-
-// AggregateReports builds aggregates of the headline metrics across runs.
-func AggregateReports(reports []*Report) map[string]*Aggregate {
-	out := map[string]*Aggregate{
-		"IEpmJ":        NewAggregate("IEpmJ"),
-		"accAll":       NewAggregate("accAll"),
-		"accProcessed": NewAggregate("accProcessed"),
-		"latency":      NewAggregate("latency"),
-	}
-	for _, r := range reports {
-		out["IEpmJ"].Add(r.IEpmJ())
-		out["accAll"].Add(r.AccuracyAllEvents())
-		out["accProcessed"].Add(r.AccuracyProcessed())
-		if l := r.MeanEventLatency(); !math.IsNaN(l) {
-			out["latency"].Add(l)
-		}
-	}
-	return out
-}

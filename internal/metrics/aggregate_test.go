@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -37,22 +36,5 @@ func TestAggregateEmptyAndSingle(t *testing.T) {
 	s := NewAggregate("s", 7)
 	if s.Std() != 0 || s.Mean() != 7 {
 		t.Fatal("single-sample stats wrong")
-	}
-}
-
-func TestAggregateReports(t *testing.T) {
-	r1 := sampleReport()
-	r2 := sampleReport()
-	aggs := AggregateReports([]*Report{r1, r2})
-	if aggs["IEpmJ"].N() != 2 {
-		t.Fatal("IEpmJ samples missing")
-	}
-	if aggs["IEpmJ"].Std() != 0 {
-		t.Fatal("identical runs must have zero spread")
-	}
-	for _, want := range []string{"IEpmJ", "accAll", "accProcessed", "latency"} {
-		if a := aggs[want]; a == nil || !strings.HasPrefix(a.String(), want+":") {
-			t.Fatalf("aggregate %s missing or misnamed: %v", want, a)
-		}
 	}
 }

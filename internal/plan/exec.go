@@ -293,6 +293,11 @@ func (e *Exec) runFloat(ops []step, cur []float32, owned bool) ([]float32, bool)
 			out := e.other(cur)
 			maxPoolFloat(out, cur, st.inShape, st.kernel, st.stride, st.outShape)
 			cur, owned = out, true
+
+		case opAvgPool:
+			out := e.other(cur)
+			avgPoolFloat(out, cur, st.inShape, st.kernel, st.stride, st.outShape)
+			cur, owned = out, true
 		}
 	}
 	return cur, owned
@@ -319,6 +324,32 @@ func maxPoolFloat(dst, src []float32, in shape, kernel, stride int, out shape) {
 					}
 				}
 				dst[outBase+oy*ow+ox] = best
+			}
+		}
+	}
+}
+
+// avgPoolFloat mirrors nn.AvgPool2D.Forward exactly: each window sums in
+// (ky, kx) order, then scales once by the reciprocal of its area.
+//
+//ehlint:hotpath
+func avgPoolFloat(dst, src []float32, in shape, kernel, stride int, out shape) {
+	c, h, w := in.c, in.h, in.w
+	oh, ow := out.h, out.w
+	inv := float32(1) / float32(kernel*kernel)
+	for ci := 0; ci < c; ci++ {
+		planeBase := ci * h * w
+		outBase := ci * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var s float32
+				for ky := 0; ky < kernel; ky++ {
+					rowBase := planeBase + (oy*stride+ky)*w + ox*stride
+					for kx := 0; kx < kernel; kx++ {
+						s += src[rowBase+kx]
+					}
+				}
+				dst[outBase+oy*ow+ox] = s * inv
 			}
 		}
 	}

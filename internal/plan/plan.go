@@ -65,8 +65,7 @@ func (g Geometry) Vol() int { return g.C * g.H * g.W }
 // InferGeometry derives the input geometry from the network's first
 // trunk convolution (whose nominal spatial dims the architecture
 // builders set). It fails on architectures that do not open with a conv
-// layer carrying nominal dims — callers should fall back to the layer
-// walk for those.
+// layer carrying nominal dims: no plan can be sized for those.
 func InferGeometry(net *multiexit.Network) (Geometry, error) {
 	if len(net.Segments) == 0 {
 		return Geometry{}, fmt.Errorf("plan: network has no segments")
@@ -89,6 +88,7 @@ const (
 	opDense
 	opReLU
 	opPool
+	opAvgPool
 )
 
 // shape tracks the activation shape during the compile-time walk and in
@@ -237,8 +237,8 @@ func (c *Calibration) calMap() map[calKey][]float64 {
 
 // Compile builds the float32 program for the network at the given input
 // geometry. The program is bit-identical to the layer walk; an error
-// (unsupported layer, shape mismatch) means the caller should keep using
-// the layer walk.
+// (a shape mismatch, or a layer outside the deployable set) means the
+// network cannot run on a plan.
 func Compile(net *multiexit.Network, geom Geometry) (*Plan, error) {
 	return compile(net, geom, false, Int8Config{})
 }
@@ -475,6 +475,22 @@ func (p *Plan) compileSequential(seq *nn.Sequential, cur shape, toInt8 bool, cfg
 			}
 			out := shape{c: cur.c, h: oh, w: ow}
 			ops = append(ops, step{kind: opPool, name: l.Name(), kernel: l.Kernel, stride: l.Stride, inShape: cur, outShape: out})
+			p.noteVols(out.vol(), 0)
+			cur = out
+
+		case *nn.AvgPool2D:
+			if toInt8 {
+				return nil, cur, fmt.Errorf("avgpool %q has no int8 lowering", l.Name())
+			}
+			if cur.flat {
+				return nil, cur, fmt.Errorf("avgpool %q after flatten", l.Name())
+			}
+			oh, ow := l.OutDims(cur.h, cur.w)
+			if oh <= 0 || ow <= 0 {
+				return nil, cur, fmt.Errorf("avgpool %q yields empty output for %dx%d", l.Name(), cur.h, cur.w)
+			}
+			out := shape{c: cur.c, h: oh, w: ow}
+			ops = append(ops, step{kind: opAvgPool, name: l.Name(), kernel: l.Kernel, stride: l.Stride, inShape: cur, outShape: out})
 			p.noteVols(out.vol(), 0)
 			cur = out
 

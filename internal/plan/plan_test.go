@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -138,6 +139,59 @@ func TestFloatParityWideKernels(t *testing.T) {
 	for exit := 0; exit < net.NumExits(); exit++ {
 		ex.InferTo(st, img, exit)
 		assertLogitsEqual(t, st, net.InferTo(img, exit), fmt.Sprintf("InferTo exit %d", exit))
+	}
+}
+
+// TestFloatParityAvgPool runs the float plan against the layer walk on
+// LeNet-EE with every max-pool, in trunk and branch alike, replaced by
+// an average pool, at every exit and along the resume chain. The int8
+// lowering has no average-pool step and must refuse the network,
+// naming the layer.
+func TestFloatParityAvgPool(t *testing.T) {
+	for _, name := range []string{"full-precision", "fig1b-uniform"} {
+		t.Run(name, func(t *testing.T) {
+			net := multiexit.LeNetEE(tensor.NewRNG(6))
+			for _, seqs := range [][]*nn.Sequential{net.Segments, net.Branches} {
+				for _, seq := range seqs {
+					for i, l := range seq.Layers {
+						if mp, ok := l.(*nn.MaxPool2D); ok {
+							seq.Layers[i] = nn.NewAvgPool2D(mp.Name(), mp.Kernel, mp.Stride)
+						}
+					}
+				}
+			}
+			// A 3×3 window, whose 1/9 scale is inexact in float32, still
+			// maps Conv4's 5×5 map to 2×2.
+			net.Segments[2].Layers[4] = nn.NewAvgPool2D("Conv4.pool", 3, 2)
+			if err := compress.Apply(net, policies(net)[name]); err != nil {
+				t.Fatal(err)
+			}
+			geom, err := InferGeometry(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Compile(net, geom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, st := p.NewExec(), p.NewState()
+			for _, img := range testImages(20, 8) {
+				for exit := 0; exit < net.NumExits(); exit++ {
+					ex.InferTo(st, img, exit)
+					assertLogitsEqual(t, st, net.InferTo(img, exit), fmt.Sprintf("InferTo exit %d", exit))
+				}
+				want := net.InferTo(img, 0)
+				ex.InferTo(st, img, 0)
+				for exit := 1; exit < net.NumExits(); exit++ {
+					want = net.Resume(want, exit)
+					ex.Resume(st, exit)
+					assertLogitsEqual(t, st, want, fmt.Sprintf("Resume to exit %d", exit))
+				}
+			}
+			if _, err := CompileInt8Fast(net, geom, Int8Config{}); err == nil || !strings.Contains(err.Error(), `avgpool "Conv1.pool"`) {
+				t.Fatalf("CompileInt8Fast: err = %v, want the avgpool layer named", err)
+			}
+		})
 	}
 }
 

@@ -94,13 +94,9 @@ func (g *gridEngine) resume(lines [][]byte) ([][]byte, error) {
 func (g *gridEngine) run(ctx context.Context, session *ehinfer.Session, emit func(any, bool)) (outcome, error) {
 	gr := session.ResumeGrid(ctx, g.grid, g.completed) // nil completed == plain start
 	for res := range gr.Results() {
-		// Only results the determinism contract can reproduce are
-		// journaled: skipped points, and error results produced while the
-		// run's context was already dead (a point torn mid-flight by
-		// shutdown reports "context canceled" — not the point's own
-		// outcome), must be re-run on resume, not restored verbatim, or
-		// the resumed final document diverges from an uninterrupted run's.
-		emit(res, !res.Skipped && (res.Err == "" || ctx.Err() == nil))
+		// Skipped points, including one torn mid-flight by the run's own
+		// cancellation, are not journaled: resume re-runs them.
+		emit(res, !res.Skipped)
 	}
 	final, err := gr.Wait()
 	if final == nil {

@@ -49,7 +49,7 @@ type inferRequest struct {
 	Exit      *int    `json:"exit,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Backend, when set, selects the inference backend for this request
-	// ("plan"/"float32", "legacy", "int8fast"/"int8"); unset uses the
+	// ("plan"/"float32"/"legacy", "int8fast"/"int8"); unset uses the
 	// server session's default. Each (model, backend) pair is its own
 	// served target with its own queue, breaker, and metrics.
 	Backend string `json:"backend,omitempty"`

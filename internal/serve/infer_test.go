@@ -213,7 +213,7 @@ func TestServeInferBackendSelection(t *testing.T) {
 		return strings.Replace(body, `{"artifact"`, `{"backend":"`+backend+`","artifact"`, 1)
 	}
 	for _, tc := range []struct{ name, backend string }{
-		{"int8fast", "int8fast"}, {"int8", "int8fast"}, {"float32", "plan"},
+		{"int8fast", "int8fast"}, {"int8", "int8fast"}, {"float32", "plan"}, {"legacy", "plan"},
 	} {
 		code, out := postInfer(t, ts.URL, withBackend(inferBody(id, 2), tc.name))
 		if code != http.StatusOK {

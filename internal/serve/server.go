@@ -55,7 +55,7 @@ type storedArtifact struct {
 // per-client rate limiting → routing). All grids run on one shared
 // Session, so they share its worker cap and deployment cache.
 //
-// Routes (see Routes for the live table):
+// Routes (the routes method holds the live table):
 //
 //	POST   /v1/grids            submit a GridSpec; 202 + job id
 //	POST   /v1/grids?stream=1   submit and stream NDJSON results on the
@@ -337,17 +337,6 @@ func (sv *Server) routes() []route {
 		)
 	}
 	return rts
-}
-
-// Routes lists the route table as "METHOD /pattern" strings — the
-// programmable surface a gateway enumerates.
-func (sv *Server) Routes() []string {
-	rts := sv.routes()
-	out := make([]string, len(rts))
-	for i, rt := range rts {
-		out[i] = rt.method + " " + rt.pattern
-	}
-	return out
 }
 
 // Metrics returns the server's obs registry — /metrics exposes it, and

@@ -1,11 +1,12 @@
 package ehinfer
 
-// Micro-benchmarks for the hot kernels: inference (compiled-plan,
-// legacy layer-walk, and int8 backends), training step, compression,
-// Q-table updates, and the simulation engine. These measure the library
-// itself (testing.B timing is meaningful here, unlike the figure benches
-// which are one-shot experiment drivers). Every benchmark reports
-// allocations; BENCH_pr5.json archives the results per PR.
+// Micro-benchmarks for the hot kernels: inference (the compiled float
+// and int8 plans, and the layer walk they are checked against), training
+// step, compression, Q-table updates, and the simulation engine. These
+// measure the library itself (testing.B timing is meaningful here,
+// unlike the figure benches which are one-shot experiment drivers).
+// Every benchmark reports allocations; BENCH_pr5.json archives the
+// results per PR.
 
 import (
 	"testing"

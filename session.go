@@ -72,8 +72,8 @@ func WithDeployedCache(enabled bool) SessionOption {
 
 // WithBackend sets the session's default inference backend for
 // empirical-mode runs and Infer (unset resolves to BackendPlan, the
-// compiled zero-allocation plan that is bit-identical to the legacy
-// layer walk; BackendInt8Fast selects the integer pipeline — fastest,
+// compiled zero-allocation plan that is bit-identical to the layer
+// walk; BackendInt8Fast selects the integer pipeline — fastest,
 // statistically rather than bitwise faithful to the float plan).
 // Grids or CompareConfigs that name their own Backend override it, and
 // surrogate-mode runs — which never execute the network — ignore it
